@@ -12,7 +12,7 @@ build="$root/.bench_build"
 mkdir -p "$build/tmp"
 export GOCACHE="$build/gocache" GOMODCACHE="$build/gomodcache" GOPATH="$build/gopath"
 export XDG_CONFIG_HOME="$build/config" XDG_CACHE_HOME="$build/cache" TMPDIR="$build/tmp"
-export GOTOOLCHAIN=local GOFLAGS=-mod=mod GOWORK=off
+export GOTOOLCHAIN=local GOFLAGS= GOWORK=off
 (cd "$root/perfbench" && go build -o "$build/bin/perfbench" .)
 cd "$root"
 exec "$build/bin/perfbench" --state "$build/state" "$@"
