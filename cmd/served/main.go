@@ -44,9 +44,9 @@
 // snapshots, the job log as a write-ahead log with per-level sweep
 // checkpoints. After a crash — kill -9 included — the next boot reloads
 // every table, restores finished jobs (results included) and re-submits
-// interrupted fred-sweeps with a resume point, so they continue from their
-// last checkpointed level and finish byte-identical to an uninterrupted
-// run. -table-ttl evicts tables unreferenced by live jobs after the given
+// interrupted fred-sweeps seeded with their checkpointed levels, so they
+// compute only the levels the crash lost and finish byte-identical to an
+// uninterrupted run. -table-ttl evicts tables unreferenced by live jobs after the given
 // age. The WAL is segmented: -wal-rotate-bytes / -wal-rotate-age roll the
 // active segment, -wal-compact periodically rewrites the whole log down to
 // its live image online, and -blob-gc sweeps result blobs no live job,
@@ -187,7 +187,7 @@ func main() {
 				if n := len(rj.Status.Levels); n > 0 {
 					logger.Info("resuming interrupted job",
 						"type", rj.Status.Type, "job", rj.Status.ID,
-						"start_k", rj.Status.Levels[n-1].K+1, "checkpointed_levels", n)
+						"checkpointed_levels", n)
 				} else {
 					logger.Info("re-running interrupted job",
 						"type", rj.Status.Type, "job", rj.Status.ID)

@@ -29,9 +29,10 @@
 //
 //   - k-sets and strides: evaluate an arbitrary ascending level set
 //     (Expand builds one), holes held out of the gap-free stream.
-//   - Warm starts: levels another sweep of the same table already computed
-//     enter as Held seeds — adopted, not recomputed — generalizing
-//     StreamConfig.StartK's held prefix to arbitrary held sets.
+//   - Held seeds: levels the caller already has — another sweep of the
+//     same table computed them, or a crashed run of the same job
+//     checkpointed them — are adopted, not recomputed, whatever set of
+//     levels they cover.
 //   - Wall-clock budgets: a deadline stops evaluation with a well-defined
 //     partial result. Without thresholds the planner evaluates endpoints
 //     first and then always the midpoint of the widest unevaluated gap —
@@ -44,6 +45,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"math"
 	"sort"
 	"time"
 
@@ -67,9 +69,12 @@ const (
 
 // Hooks observe a run as it progresses; any field may be nil.
 type Hooks struct {
-	// Level fires for every level entering the series, in the order the
-	// planner adopts them: warm seeds first (ascending), then computed
-	// levels in evaluation order. warm distinguishes the two.
+	// Level fires for every level entering the series; warm reports a Held
+	// seed rather than a computed level. In walk mode (no thresholds, no
+	// deadline) levels arrive in ascending k, seeds interleaved with
+	// computed levels at their k position. The search modes (bisection,
+	// budget walk) adopt every seed first, ascending, then computed levels
+	// in evaluation order.
 	Level func(lr core.LevelResult, warm bool)
 	// Fallback fires at most once, when a detected monotonicity violation
 	// switches the run to the exhaustive walk.
@@ -101,8 +106,9 @@ type Config struct {
 	// auto-calibration, so a decision is always possible) is exempt.
 	Deadline time.Time
 	// Held seeds levels the caller already holds — e.g. warm-started from
-	// another job's cached sweep of the same table. Keyed by k; keys
-	// outside Levels are ignored. Seeds are adopted verbatim: they must be
+	// another job's cached sweep of the same table, or checkpointed by a
+	// crashed run of the same job. Keyed by k; keys outside Levels are
+	// ignored. Seeds are adopted verbatim: they must be
 	// bit-exact prior computations of the same (table, adversary, scheme)
 	// or the equivalence guarantee is void.
 	Held map[int]core.LevelResult
@@ -113,9 +119,10 @@ type Config struct {
 }
 
 // SkipRange is a maximal run of requested-but-unevaluated levels sharing a
-// reason.
+// reason; N counts the requested levels in it.
 type SkipRange struct {
 	FromK, ToK int
+	N          int
 	Reason     string
 }
 
@@ -197,6 +204,8 @@ type runState struct {
 	known           map[int]core.LevelResult
 	sortedK         []int
 	evaluated, warm int
+	// seeds are the requested Held levels not adopted yet, ascending.
+	seeds []int
 
 	// infeasibleFrom is the lowest probed k the anonymizer rejected with
 	// the "k exceeds the table" condition; feasibility is monotone in k, so
@@ -263,6 +272,16 @@ func (s *runState) adopt(lr core.LevelResult, warm bool) {
 	}
 }
 
+// adoptSeedsBelow adopts the pending Held seeds below k, ascending.
+func (s *runState) adoptSeedsBelow(k int) {
+	for len(s.seeds) > 0 && s.seeds[0] < k {
+		lr := s.cfg.Held[s.seeds[0]]
+		lr.K = s.seeds[0]
+		s.adopt(lr, true)
+		s.seeds = s.seeds[1:]
+	}
+}
+
 // eval computes requested level index i unless it is already known or
 // infeasible. Memoized: bisection probes the same midpoints from both
 // boundary searches for free.
@@ -276,6 +295,13 @@ func (s *runState) eval(i int) (evalStatus, error) {
 	}
 	if err := s.ctx.Err(); err != nil {
 		return 0, err
+	}
+	if s.sc == nil {
+		// One kernel-budgeted context shared by every single-level probe,
+		// so bisection keeps within-level parallelism. The walk builds its
+		// own inside SweepStream.
+		s.sc = core.NewSweepContextParallel(s.p, s.cfg.Attack,
+			core.SweepWorkersFor(s.p.NumRows(), s.cfg.Workers, s.cfg.MinParallelRows))
 	}
 	lr, err := s.sc.RunLevel(s.cfg.Anonymizer, k, s.cfg.Tp)
 	if err != nil {
@@ -331,26 +357,20 @@ func Run(ctx context.Context, p *dataset.Table, cfg Config) (*Outcome, error) {
 	}
 	for _, k := range s.ks {
 		s.req[k] = true
-	}
-	// One kernel-budgeted context shared by every single-level probe, so
-	// bisection keeps within-level parallelism. The walk paths go through
-	// SweepStream, which builds its own context and budget.
-	s.sc = core.NewSweepContextParallel(p, cfg.Attack,
-		core.SweepWorkersFor(p.NumRows(), cfg.Workers, cfg.MinParallelRows))
-
-	// Warm seeds enter first, ascending, before anything is computed.
-	for _, k := range s.ks {
-		if lr, ok := cfg.Held[k]; ok {
-			lr.K = k
-			s.adopt(lr, true)
+		if _, ok := cfg.Held[k]; ok {
+			s.seeds = append(s.seeds, k)
 		}
 	}
 
 	var err error
 	switch {
 	case explicit:
+		// The searches adopt every seed before computing anything; the
+		// walk adopts each at its k position.
+		s.adoptSeedsBelow(math.MaxInt)
 		err = s.bisect()
 	case !cfg.Deadline.IsZero():
+		s.adoptSeedsBelow(math.MaxInt)
 		err = s.budgetWalk()
 	default:
 		err = s.walkRemaining()
@@ -411,8 +431,9 @@ func Run(ctx context.Context, p *dataset.Table, cfg Config) (*Outcome, error) {
 		}
 		if n := len(out.SkippedRanges); n > 0 && out.SkippedRanges[n-1].Reason == reason && out.SkippedRanges[n-1].ToK == prevRequested(s.ks, k) {
 			out.SkippedRanges[n-1].ToK = k
+			out.SkippedRanges[n-1].N++
 		} else {
-			out.SkippedRanges = append(out.SkippedRanges, SkipRange{FromK: k, ToK: k, Reason: reason})
+			out.SkippedRanges = append(out.SkippedRanges, SkipRange{FromK: k, ToK: k, N: 1, Reason: reason})
 		}
 	}
 	return out, nil
@@ -539,8 +560,10 @@ func (s *runState) budgetWalk() error {
 
 // walkRemaining evaluates every requested feasible level not yet known via
 // the parallel streaming sweep — the exhaustive mode (auto-calibration
-// needs the full series) and the non-monotone fallback. Known levels and
-// non-requested holes ride in the Held set.
+// needs the full series) and the non-monotone fallback. Known levels,
+// pending Held seeds and non-requested holes ride in the stream's Held
+// set; pending seeds are adopted at their k position, so the series grows
+// in ascending k.
 func (s *runState) walkRemaining() error {
 	minK := s.ks[0]
 	maxK := s.ks[len(s.ks)-1]
@@ -552,11 +575,9 @@ func (s *runState) walkRemaining() error {
 	}
 	held := make(map[int]bool)
 	for k := minK; k <= maxK; k++ {
-		if !s.req[k] {
-			held[k] = true
-			continue
-		}
-		if _, ok := s.known[k]; ok {
+		_, known := s.known[k]
+		_, seeded := s.cfg.Held[k]
+		if !s.req[k] || known || seeded {
 			held[k] = true
 		}
 	}
@@ -576,17 +597,21 @@ func (s *runState) walkRemaining() error {
 		MinParallelRows: s.cfg.MinParallelRows,
 		Tp:              s.cfg.Tp,
 	}, func(lr core.LevelResult) error {
+		s.adoptSeedsBelow(lr.K)
 		s.adopt(lr, false)
 		return nil
 	})
 	if err != nil {
 		// The deadline expiring mid-walk is a partial result, not an
 		// error — unless the caller's own context is what fired.
-		if errors.Is(err, context.DeadlineExceeded) && s.ctx.Err() == nil {
-			s.partial = true
-			return nil
+		if !errors.Is(err, context.DeadlineExceeded) || s.ctx.Err() != nil {
+			return err
 		}
-		return err
+		s.partial = true
+	}
+	s.adoptSeedsBelow(math.MaxInt)
+	if s.partial {
+		return nil
 	}
 	// The stream ends early — cleanly — when the anonymizer outgrows the
 	// table, so after a complete walk any requested level still unknown

@@ -158,10 +158,12 @@ func TestPlannerWarmStartSkipsSeededLevels(t *testing.T) {
 	ks, _ := Expand(2, 16, 1, nil)
 
 	var warmSeen, computedSeen int
+	var hookKs []int
 	out, err := Run(context.Background(), p, Config{
 		Anonymizer: microagg.New(), Attack: atk,
 		Levels: ks, Held: held, Workers: 2,
 		Hooks: Hooks{Level: func(lr core.LevelResult, warm bool) {
+			hookKs = append(hookKs, lr.K)
 			if warm {
 				warmSeen++
 			} else {
@@ -180,6 +182,13 @@ func TestPlannerWarmStartSkipsSeededLevels(t *testing.T) {
 	}
 	if warmSeen != out.Warm || computedSeen != out.Evaluated {
 		t.Fatalf("hooks saw %d warm + %d computed, outcome says %d + %d", warmSeen, computedSeen, out.Warm, out.Evaluated)
+	}
+	// Walk mode interleaves the seeds with the computed levels: one
+	// strictly ascending series.
+	for i := 1; i < len(hookKs); i++ {
+		if hookKs[i] <= hookKs[i-1] {
+			t.Fatalf("walk-mode Level hooks arrived as k=%v, want strictly ascending", hookKs)
+		}
 	}
 	got, err := core.DecideWithin(out.Levels, tp, tu, metrics.HOptions{})
 	if err != nil {

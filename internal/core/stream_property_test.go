@@ -12,12 +12,12 @@ import (
 
 // TestSweepStreamPropertyRandomized is a property-style test of the
 // streaming executor: across randomized (but seeded, hence reproducible)
-// worker counts, StartK resume offsets and fault injections — consumer
+// worker counts, held resume prefixes and fault injections — consumer
 // stops via ErrStopSweep and context cancellations at arbitrary emission
 // points — the emitted series is ALWAYS a gap-free, k-ordered prefix of the
 // resumed range, bit-identical to the sequential sweep. This is the
 // invariant every consumer builds on: the service's WAL checkpoints, the
-// crash-resume StartK path and the HTTP event stream all assume concurrency
+// crash-resume Held path and the HTTP event stream all assume concurrency
 // and interruption never change what is observed, only how much of it.
 func TestSweepStreamPropertyRandomized(t *testing.T) {
 	const minK, maxK = 2, 12
@@ -45,13 +45,14 @@ func TestSweepStreamPropertyRandomized(t *testing.T) {
 	const trials = 60
 	for trial := 0; trial < trials; trial++ {
 		workers := rng.Intn(9) // 0 = one worker per level, 1 = sequential path
-		startK := 0
+		// The resumed range starts at first; the caller holds [minK, first).
+		first := minK
 		if rng.Intn(2) == 1 {
-			startK = minK + rng.Intn(maxK-minK+1)
+			first = minK + rng.Intn(maxK-minK+1)
 		}
-		first := startK
-		if first == 0 {
-			first = minK
+		held := make(map[int]bool)
+		for k := minK; k < first; k++ {
+			held[k] = true
 		}
 		remaining := maxK - first + 1
 
@@ -72,7 +73,7 @@ func TestSweepStreamPropertyRandomized(t *testing.T) {
 			Attack:     atk,
 			MinK:       minK,
 			MaxK:       maxK,
-			StartK:     startK,
+			Held:       held,
 			Workers:    workers,
 		}, func(lr LevelResult) error {
 			got = append(got, lr)
@@ -99,25 +100,25 @@ func TestSweepStreamPropertyRandomized(t *testing.T) {
 			// executor re-checks the context before every next emission.
 			lastEmission := injAt == remaining-1
 			if !errors.Is(err, context.Canceled) && !(lastEmission && err == nil) {
-				t.Fatalf("trial %d (workers=%d startK=%d inj=cancel@%d): err %v, want context.Canceled",
-					trial, workers, startK, injAt, err)
+				t.Fatalf("trial %d (workers=%d first=%d inj=cancel@%d): err %v, want context.Canceled",
+					trial, workers, first, injAt, err)
 			}
 			if len(got) != injAt+1 {
-				t.Fatalf("trial %d (workers=%d startK=%d): %d levels emitted after a cancel at emission %d",
-					trial, workers, startK, len(got), injAt)
+				t.Fatalf("trial %d (workers=%d first=%d): %d levels emitted after a cancel at emission %d",
+					trial, workers, first, len(got), injAt)
 			}
 		default:
 			if err != nil {
-				t.Fatalf("trial %d (workers=%d startK=%d inj=%s@%d): %v",
-					trial, workers, startK, desc(), injAt, err)
+				t.Fatalf("trial %d (workers=%d first=%d inj=%s@%d): %v",
+					trial, workers, first, desc(), injAt, err)
 			}
 			want := remaining
 			if inj == injStop {
 				want = injAt + 1
 			}
 			if len(got) != want {
-				t.Fatalf("trial %d (workers=%d startK=%d inj=%s@%d): emitted %d levels, want %d",
-					trial, workers, startK, desc(), injAt, len(got), want)
+				t.Fatalf("trial %d (workers=%d first=%d inj=%s@%d): emitted %d levels, want %d",
+					trial, workers, first, desc(), injAt, len(got), want)
 			}
 		}
 
@@ -127,12 +128,12 @@ func TestSweepStreamPropertyRandomized(t *testing.T) {
 		for i, lr := range got {
 			wantK := first + i
 			if lr.K != wantK {
-				t.Fatalf("trial %d (workers=%d startK=%d): emission %d has k=%d, want %d (gap or disorder)",
-					trial, workers, startK, i, lr.K, wantK)
+				t.Fatalf("trial %d (workers=%d first=%d): emission %d has k=%d, want %d (gap or disorder)",
+					trial, workers, first, i, lr.K, wantK)
 			}
 			if !sameBits(lr, seq[wantK-minK]) {
-				t.Fatalf("trial %d (workers=%d startK=%d): k=%d differs from the sequential sweep:\n got %+v\nwant %+v",
-					trial, workers, startK, lr.K, lr, seq[wantK-minK])
+				t.Fatalf("trial %d (workers=%d first=%d): k=%d differs from the sequential sweep:\n got %+v\nwant %+v",
+					trial, workers, first, lr.K, lr, seq[wantK-minK])
 			}
 		}
 	}

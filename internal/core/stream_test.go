@@ -170,11 +170,11 @@ func TestSweepStreamStopSentinel(t *testing.T) {
 	}
 }
 
-// TestSweepStreamStartKResume: a sweep resumed from StartK emits exactly the
-// tail of the full series, bit-identical, under sequential and parallel
-// execution — the contract crash recovery relies on to finish an interrupted
-// sweep without changing a single bit of the result.
-func TestSweepStreamStartKResume(t *testing.T) {
+// TestSweepStreamHeldPrefixResume: a sweep holding the prefix [MinK, resumeK)
+// emits exactly the tail of the full series, bit-identical, under sequential
+// and parallel execution — the contract crash recovery relies on to finish
+// an interrupted sweep without changing a single bit of the result.
+func TestSweepStreamHeldPrefixResume(t *testing.T) {
 	p, q := universityFixture(t, 40)
 	atk := AttackConfig{Aux: q, SensitiveRange: salaryRange()}
 	full, err := Sweep(p, microagg.New(), atk, 2, 12)
@@ -182,59 +182,68 @@ func TestSweepStreamStartKResume(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, workers := range []int{1, 4} {
-		for _, startK := range []int{2, 7, 12} {
+		for _, resumeK := range []int{2, 7, 12} {
+			held := make(map[int]bool)
+			for k := 2; k < resumeK; k++ {
+				held[k] = true
+			}
 			var got []LevelResult
 			err := SweepStream(context.Background(), p, StreamConfig{
 				Anonymizer: microagg.New(),
 				Attack:     atk,
 				MinK:       2,
 				MaxK:       12,
-				StartK:     startK,
+				Held:       held,
 				Workers:    workers,
 			}, func(lr LevelResult) error {
 				got = append(got, lr)
 				return nil
 			})
 			if err != nil {
-				t.Fatalf("workers=%d startK=%d: %v", workers, startK, err)
+				t.Fatalf("workers=%d resumeK=%d: %v", workers, resumeK, err)
 			}
-			tail := full[startK-2:]
+			tail := full[resumeK-2:]
 			if len(got) != len(tail) {
-				t.Fatalf("workers=%d startK=%d: emitted %d levels, want %d", workers, startK, len(got), len(tail))
+				t.Fatalf("workers=%d resumeK=%d: emitted %d levels, want %d", workers, resumeK, len(got), len(tail))
 			}
 			for i, lr := range got {
 				if lr.K != tail[i].K {
-					t.Fatalf("workers=%d startK=%d: emission %d has k=%d, want %d", workers, startK, i, lr.K, tail[i].K)
+					t.Fatalf("workers=%d resumeK=%d: emission %d has k=%d, want %d", workers, resumeK, i, lr.K, tail[i].K)
 				}
 				if lr.Before != tail[i].Before || lr.After != tail[i].After ||
 					lr.Gain != tail[i].Gain || lr.Utility != tail[i].Utility {
-					t.Errorf("workers=%d startK=%d k=%d: resumed level differs from the full sweep", workers, startK, lr.K)
+					t.Errorf("workers=%d resumeK=%d k=%d: resumed level differs from the full sweep", workers, resumeK, lr.K)
 				}
 			}
 		}
 	}
 }
 
-// TestSweepStreamStartKPastTableEndsCleanly: a resume point beyond what the
-// table supports ends the series cleanly (the caller's seed holds the lower
-// levels), even when it is the first level the resumed sweep attempts.
-func TestSweepStreamStartKPastTableEndsCleanly(t *testing.T) {
+// TestSweepStreamHeldPrefixPastTableEndsCleanly: a held prefix reaching
+// past what the table supports ends the series cleanly (the caller holds
+// the lower levels), even when the first level the sweep attempts already
+// outgrows the table.
+func TestSweepStreamHeldPrefixPastTableEndsCleanly(t *testing.T) {
 	p, q := universityFixture(t, 10)
 	atk := AttackConfig{Aux: q, SensitiveRange: salaryRange()}
+	held := make(map[int]bool)
+	for k := 2; k <= 10; k++ {
+		held[k] = true
+	}
 	emitted := 0
 	err := SweepStream(context.Background(), p, StreamConfig{
 		Anonymizer: microagg.New(),
 		Attack:     atk,
 		MinK:       2,
 		MaxK:       40,
-		StartK:     11, // table holds 10 records: k=11 exceeds it immediately
+		Held:       held, // table holds 10 records: k=11 exceeds it immediately
 		Workers:    2,
 	}, func(LevelResult) error {
 		emitted++
 		return nil
 	})
 	if err != nil {
-		t.Fatalf("resumed sweep past the table must end cleanly: %v", err)
+		t.Fatalf("held prefix past the table must end cleanly: %v", err)
 	}
 	if emitted != 0 {
 		t.Errorf("emitted %d levels past the table, want 0", emitted)
@@ -253,12 +262,6 @@ func TestSweepStreamValidation(t *testing.T) {
 	}
 	if err := SweepStream(context.Background(), p, StreamConfig{Anonymizer: microagg.New(), MinK: 5, MaxK: 4}, noop); err == nil {
 		t.Error("inverted range accepted")
-	}
-	if err := SweepStream(context.Background(), p, StreamConfig{Anonymizer: microagg.New(), MinK: 2, MaxK: 6, StartK: 7}, noop); err == nil {
-		t.Error("StartK above MaxK accepted")
-	}
-	if err := SweepStream(context.Background(), p, StreamConfig{Anonymizer: microagg.New(), MinK: 3, MaxK: 6, StartK: 2}, noop); err == nil {
-		t.Error("StartK below MinK accepted")
 	}
 }
 

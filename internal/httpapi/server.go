@@ -20,7 +20,7 @@
 //	POST   /v1/jobs/{id}/cancel  cancel a pending or running job
 //	DELETE /v1/jobs/{id}         purge a terminal job (409 while running)
 //	GET    /v1/jobs/{id}/trace   per-job trace spans (job.run, sweep.level,
-//	                             and for adaptive sweeps planner.plan,
+//	                             and for sweeps planner.plan,
 //	                             planner.warmstart, planner.skip,
 //	                             planner.fallback)
 //
@@ -32,8 +32,9 @@
 // deliver "level" events in evaluation order — each tagged with "source":
 // "warm" when seeded from the cross-job level index — plus "skip" events
 // naming the level ranges the planner proved it could skip and why
-// (bisection, deadline, infeasible). The final decision is bit-identical to
-// the exhaustive sweep's.
+// (bisection, deadline, infeasible; an infeasible skip, for levels above
+// the table's row count, can end any sweep's stream). The final decision
+// is bit-identical to the exhaustive sweep's.
 //
 //	GET    /v1/healthz           liveness probe + ops snapshot (never
 //	                             authenticated)

@@ -96,12 +96,21 @@ func sweepSpec(p, q string) service.Spec {
 // and returns the data dir, the job ID, the final status and result.
 func runUninterrupted(t *testing.T) (string, string, service.Status, *service.Result) {
 	t.Helper()
+	return runSweepUninterrupted(t, 30, service.Options{Workers: 2, SweepWorkers: 2},
+		func(_ *service.Engine, p, q string) service.Spec { return sweepSpec(p, q) })
+}
+
+// runSweepUninterrupted is runUninterrupted over an n-row cohort, with the
+// sweep spec built by spec once the tables are stored and the engine runs
+// (a spec may derive its thresholds from an earlier sweep on e).
+func runSweepUninterrupted(t *testing.T, n int, opts service.Options, spec func(e *service.Engine, p, q string) service.Spec) (string, string, service.Status, *service.Result) {
+	t.Helper()
 	dir := t.TempDir()
-	sc, err := repro.UniversityScenario(repro.ScenarioOptions{Seed: 42, N: 30})
+	sc, err := repro.UniversityScenario(repro.ScenarioOptions{Seed: 42, N: n})
 	if err != nil {
 		t.Fatal(err)
 	}
-	ds, store, engine := openPlane(t, dir, service.Options{Workers: 2, SweepWorkers: 2})
+	ds, store, engine := openPlane(t, dir, opts)
 	pInfo, err := store.Put(service.DefaultTenant, "P", sc.P)
 	if err != nil {
 		t.Fatal(err)
@@ -114,7 +123,7 @@ func runUninterrupted(t *testing.T) (string, string, service.Status, *service.Re
 		t.Fatal(err)
 	}
 	engine.Start()
-	st, err := engine.Submit(service.DefaultTenant, sweepSpec(pInfo.ID, qInfo.ID))
+	st, err := engine.Submit(service.DefaultTenant, spec(engine, pInfo.ID, qInfo.ID))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -293,13 +302,24 @@ func TestRecoverRestoresTerminalJobsDisk(t *testing.T) {
 // SIGKILL between the keepLevels'th and the next checkpoint leaves behind.
 func truncateWAL(t *testing.T, dir, jobID string, keepLevels int) {
 	t.Helper()
+	if kept := rewriteWAL(t, dir, jobID, func(i int) bool { return i < keepLevels }); kept != keepLevels {
+		t.Fatalf("WAL held %d level checkpoints, want ≥ %d to build the crash image", kept, keepLevels)
+	}
+}
+
+// rewriteWAL rewrites dir's active WAL segment down to jobID's submission
+// record and the level checkpoints whose append index i satisfies keep,
+// dropping every other record — the terminal one included, so jobID
+// recovers as interrupted. It returns the number of checkpoints kept.
+func rewriteWAL(t *testing.T, dir, jobID string, keep func(i int) bool) int {
+	t.Helper()
 	path := activeWALPath(t, dir)
 	raw, err := os.ReadFile(path)
 	if err != nil {
 		t.Fatal(err)
 	}
 	var out bytes.Buffer
-	levels := 0
+	i, kept := 0, 0
 	for _, line := range bytes.Split(raw, []byte("\n")) {
 		if len(bytes.TrimSpace(line)) == 0 {
 			continue
@@ -311,33 +331,32 @@ func truncateWAL(t *testing.T, dir, jobID string, keepLevels int) {
 		if rec.JobID != jobID {
 			continue
 		}
-		keep := false
+		write := false
 		switch rec.Kind {
 		case service.WALJob:
-			keep = true
+			write = true
 		case service.WALLevel:
-			if levels < keepLevels {
-				keep = true
-				levels++
+			if keep(i) {
+				write = true
+				kept++
 			}
+			i++
 		}
-		if keep {
+		if write {
 			out.Write(line)
 			out.WriteByte('\n')
 		}
 	}
-	if levels != keepLevels {
-		t.Fatalf("WAL held %d level checkpoints, want ≥ %d to build the crash image", levels, keepLevels)
-	}
 	if err := os.WriteFile(path, out.Bytes(), 0o644); err != nil {
 		t.Fatal(err)
 	}
+	return kept
 }
 
 // TestRecoverResumesInterruptedSweepDisk is the crash-recovery acceptance
 // test: a fred-sweep killed after two checkpointed levels (the WAL image a
-// SIGKILL mid-sweep leaves) is re-submitted on the next boot with a StartK
-// resume point, continues from level three, and finishes with a final level
+// SIGKILL mid-sweep leaves) is re-submitted on the next boot seeded with
+// them, continues from level three, and finishes with a final level
 // series, candidate flags and release table byte-identical to the
 // uninterrupted run.
 func TestRecoverResumesInterruptedSweepDisk(t *testing.T) {
@@ -429,9 +448,8 @@ func TestRecoverResumesInterruptedSweepDisk(t *testing.T) {
 }
 
 // TestRecoverResumePointPastSeriesDisk: a crash after the final checkpoint
-// but before the terminal record resumes with StartK past every remaining
-// level — the re-run evaluates nothing new and still reaches the identical
-// decision.
+// but before the terminal record resumes with every level seeded — the
+// re-run evaluates nothing new and still reaches the identical decision.
 func TestRecoverResumePointPastSeriesDisk(t *testing.T) {
 	dir, jobID, want, wantRes := runUninterrupted(t)
 	truncateWAL(t, dir, jobID, len(want.Levels))
@@ -698,41 +716,124 @@ func TestRecoverHonorsDurableCancelDisk(t *testing.T) {
 	}
 }
 
-// TestRecoverDiscardsGappedSeedDisk: a WAL whose level checkpoints have a
-// gap (a dropped append) must not seed the resume — splicing a gapped
-// prefix would duplicate or skip levels — and the sweep re-runs from
-// scratch, still finishing correctly.
-func TestRecoverDiscardsGappedSeedDisk(t *testing.T) {
-	created := time.Now().Round(0)
-	dir := craftWAL(t, func(p, q string) []service.WALRecord {
-		spec := sweepSpec(p, q)
-		return []service.WALRecord{
-			{Seq: 1, Kind: service.WALJob, JobID: "job-1", JobSeq: 1, Spec: &spec, Created: &created},
-			levelRecord(2, 2),
-			levelRecord(3, 3),
-			levelRecord(4, 5), // gap: k=4 missing
+// requireSameSweep fails unless a resumed sweep's result matches the
+// uninterrupted run's bit for bit: level series, candidate flags, decision
+// scalars and release-table fingerprint.
+func requireSameSweep(t *testing.T, got, want *service.Result) {
+	t.Helper()
+	if len(got.Levels) != len(want.Levels) {
+		t.Fatalf("resumed run reports %d levels, uninterrupted %d", len(got.Levels), len(want.Levels))
+	}
+	for i := range got.Levels {
+		a, b := got.Levels[i], want.Levels[i]
+		if a.K != b.K || a.Candidate != b.Candidate ||
+			math.Float64bits(a.Before) != math.Float64bits(b.Before) ||
+			math.Float64bits(a.After) != math.Float64bits(b.After) ||
+			math.Float64bits(a.Gain) != math.Float64bits(b.Gain) ||
+			math.Float64bits(a.Utility) != math.Float64bits(b.Utility) {
+			t.Fatalf("level %d differs after resume:\n got %+v\nwant %+v", i, a, b)
 		}
-	})
-	_, _, engine := openPlane(t, dir, service.Options{Workers: 1})
+	}
+	if got.OptimalK != want.OptimalK ||
+		math.Float64bits(got.Hmax) != math.Float64bits(want.Hmax) ||
+		math.Float64bits(got.Tp) != math.Float64bits(want.Tp) ||
+		math.Float64bits(got.Tu) != math.Float64bits(want.Tu) {
+		t.Fatalf("resumed decision differs: k=%d H=%g vs k=%d H=%g", got.OptimalK, got.Hmax, want.OptimalK, want.Hmax)
+	}
+	if fingerprintHex(t, got.Table) != fingerprintHex(t, want.Table) {
+		t.Fatal("resumed run's release table is not byte-identical to the uninterrupted run's")
+	}
+}
+
+// resumeAndWait recovers dir, requires exactly jobID to come back resumed
+// with wantSeeded checkpointed levels, runs it to completion and returns
+// its status and result.
+func resumeAndWait(t *testing.T, dir, jobID string, wantSeeded int) (service.Status, *service.Result) {
+	t.Helper()
+	_, _, engine := openPlane(t, dir, service.Options{Workers: 2, SweepWorkers: 2})
 	recovered, err := engine.Recover()
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(recovered) != 1 || !recovered[0].Resumed {
-		t.Fatalf("recovered %+v, want one resumed job", recovered)
+	if len(recovered) != 1 || !recovered[0].Resumed || recovered[0].Status.ID != jobID {
+		t.Fatalf("recovered %+v, want %s resumed", recovered, jobID)
 	}
-	if n := len(recovered[0].Status.Levels); n != 0 {
-		t.Fatalf("gapped seed kept %d levels, want 0 (full re-run)", n)
+	if n := len(recovered[0].Status.Levels); n != wantSeeded {
+		t.Fatalf("resumed job seeded with %d levels, want %d", n, wantSeeded)
 	}
 	engine.Start()
-	st := waitDone(t, engine, "job-1")
+	st := waitDone(t, engine, jobID)
 	if st.State != service.StateDone {
-		t.Fatalf("state %s (%s), want done", st.State, st.Error)
+		t.Fatalf("resumed job state %s (%s), want done", st.State, st.Error)
 	}
-	// The re-run swept the full range: a gap-free series from MinK.
+	res, err := engine.Result(service.DefaultTenant, jobID)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return st, res
+}
+
+// TestRecoverAdoptsGappedSeedDisk: a WAL missing one middle checkpoint (a
+// dropped append) still seeds the resume. The resumed sweep adopts every
+// checkpoint it has, computes only the missing level, and ends gap-free
+// and bit-identical to the uninterrupted run.
+func TestRecoverAdoptsGappedSeedDisk(t *testing.T) {
+	dir, jobID, want, wantRes := runUninterrupted(t)
+	const dropped = 4 // the fifth checkpoint: k=6 of k=2..10
+	kept := rewriteWAL(t, dir, jobID, func(i int) bool { return i != dropped })
+	if kept != len(want.Levels)-1 {
+		t.Fatalf("kept %d checkpoints, want %d", kept, len(want.Levels)-1)
+	}
+
+	st, res := resumeAndWait(t, dir, jobID, kept)
+	if got := int(st.Summary["levels_evaluated"]); got != 1 {
+		t.Fatalf("resumed sweep evaluated %d levels, want only the missing one", got)
+	}
 	for i, ls := range st.Levels {
 		if ls.K != i+2 {
-			t.Fatalf("re-run series %+v has a gap at position %d", st.Levels, i)
+			t.Fatalf("resumed series %+v has a gap at position %d", st.Levels, i)
 		}
 	}
+	requireSameSweep(t, res, wantRes)
+}
+
+// TestRecoverResumesAdaptiveSweepDisk: an adaptive sweep with an explicit
+// Tu, on a cohort large enough that bisection really skips, resumes from
+// its checkpoints — which arrive in evaluation order, not k order —
+// instead of re-planning. It computes only what the uninterrupted run
+// computed after the crash point and decides bit-identically.
+func TestRecoverResumesAdaptiveSweepDisk(t *testing.T) {
+	// The level index is off so the adaptive job cannot warm-start from the
+	// probe that picks its threshold.
+	opts := service.Options{Workers: 1, SweepWorkers: 2, LevelIndexSize: -1}
+	dir, jobID, want, wantRes := runSweepUninterrupted(t, 400, opts, func(e *service.Engine, p, q string) service.Spec {
+		probe := sweepSpec(p, q)
+		probe.MaxK = 16
+		st, err := e.Submit(service.DefaultTenant, probe)
+		if err != nil {
+			t.Fatal(err)
+		}
+		st = waitDone(t, e, st.ID)
+		adaptive := probe
+		adaptive.Adaptive = true
+		for _, ls := range st.Levels {
+			if ls.K == 6 {
+				adaptive.Tu = ls.Utility // candidate band k=2..6
+			}
+		}
+		return adaptive
+	})
+	evaluated := int(want.Summary["levels_evaluated"])
+	if evaluated >= 15 {
+		t.Fatalf("uninterrupted adaptive sweep evaluated %d of 15 levels; bisection skipped nothing", evaluated)
+	}
+	const checkpointed = 3
+	truncateWAL(t, dir, jobID, checkpointed)
+
+	st, res := resumeAndWait(t, dir, jobID, checkpointed)
+	if got := int(st.Summary["levels_evaluated"]); got != evaluated-checkpointed {
+		t.Fatalf("resumed sweep evaluated %d levels, want %d (uninterrupted %d minus %d checkpointed)",
+			got, evaluated-checkpointed, evaluated, checkpointed)
+	}
+	requireSameSweep(t, res, wantRes)
 }

@@ -25,7 +25,7 @@ type Options struct {
 	// Workers is the size of the job worker pool (default: NumCPU).
 	Workers int
 	// SweepWorkers bounds the intra-job concurrency of a fred-sweep's
-	// core.SweepStream executor (default: Workers).
+	// planner run (default: Workers).
 	SweepWorkers int
 	// QueueDepth bounds the pending-job queue; submissions beyond it are
 	// shed with an OverloadError (which errors.Is-matches ErrQueueFull)
@@ -206,9 +206,10 @@ type job struct {
 	// assigned by logTerminal (best-effort: a subscriber racing the WAL
 	// append may observe it as zero). Guarded by mu.
 	termSeq uint64
-	// resume seeds a recovered fred-sweep with its checkpointed levels so
-	// the sweep restarts at startK instead of MinK. Set only by Recover.
-	resume *resumeSeed
+	// resume holds a recovered fred-sweep's checkpointed levels, in WAL
+	// order; the sweep adopts them instead of recomputing them. Set only by
+	// Recover.
+	resume []LevelSummary
 	// resultRec is the durable projection logTerminal wrote (nil for jobs
 	// that failed, were canceled, or ran on an ephemeral store). Online log
 	// compaction re-emits it instead of re-hashing the result table, and
@@ -220,12 +221,6 @@ type job struct {
 	// Guarded by mu.
 	cancelRequested bool
 	cancelSeq       uint64
-}
-
-// resumeSeed carries a recovered sweep's checkpointed prefix.
-type resumeSeed struct {
-	startK int
-	levels []LevelSummary
 }
 
 func (j *job) snapshot() Status {
@@ -998,5 +993,5 @@ func (e *Engine) runAssess(ctx context.Context, j *job) (*Result, error) {
 	return &Result{Table: phat, Assessment: a}, nil
 }
 
-// runFREDSweep lives in sweepjob.go: the classic range walk with cross-job
-// warm-starting, and the adaptive planner path behind it.
+// runFREDSweep lives in sweepjob.go: every fred-sweep, classic or adaptive,
+// runs through the planner there.

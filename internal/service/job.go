@@ -118,8 +118,9 @@ func (sp Spec) withDefaults() Spec {
 	return sp
 }
 
-// adaptive reports whether the spec routes through the planner: an explicit
-// opt-in, or any selection the classic range walk cannot express.
+// adaptive reports whether the spec lets the planner select or search
+// rather than walk the whole range: an explicit opt-in, or any selection
+// the classic range walk cannot express.
 func (sp Spec) adaptive() bool {
 	return sp.Adaptive || len(sp.KSet) > 0 || sp.Stride > 1 || sp.BudgetMS > 0
 }

@@ -77,25 +77,23 @@ func (x *levelIndex) Put(key string, levels []core.LevelResult) {
 }
 
 // Get returns the cached levels among ks, refreshing the entry's recency.
-// The returned map is a copy — callers may not observe later merges.
+// The returned map is a fresh copy, never nil: the caller owns it and may
+// add to it, and never observes later merges.
 func (x *levelIndex) Get(key string, ks []int) map[int]core.LevelResult {
+	out := make(map[int]core.LevelResult)
 	if x == nil || x.cap <= 0 {
-		return nil
+		return out
 	}
 	x.mu.Lock()
 	defer x.mu.Unlock()
 	el, ok := x.items[key]
 	if !ok {
-		return nil
+		return out
 	}
 	x.ll.MoveToFront(el)
 	ent := el.Value.(*levelEntry)
-	var out map[int]core.LevelResult
 	for _, k := range ks {
 		if lr, ok := ent.levels[k]; ok {
-			if out == nil {
-				out = make(map[int]core.LevelResult)
-			}
 			out[k] = lr
 		}
 	}

@@ -8,6 +8,7 @@ import (
 	"time"
 
 	"repro"
+	"repro/internal/dataset"
 	"repro/internal/obs"
 	"repro/internal/service"
 )
@@ -90,13 +91,26 @@ func TestWarmStartSecondSweepComputesOnlyGap(t *testing.T) {
 	// The seeded levels streamed with source "warm", in ascending k order
 	// interleaved with the computed gap.
 	warm := 0
+	var streamed []int
 	for ev := range mustStream(t, e, st2.ID) {
-		if ev.Type == service.EventLevel && ev.Source == "warm" {
+		if ev.Type != service.EventLevel {
+			continue
+		}
+		streamed = append(streamed, ev.Level.K)
+		if ev.Source == "warm" {
 			warm++
+			if ev.Level.K > 10 {
+				t.Errorf("k=%d streamed as warm, but only k=2..10 were indexed", ev.Level.K)
+			}
 		}
 	}
 	if warm != 9 {
 		t.Fatalf("second sweep streamed %d warm levels, want 9", warm)
+	}
+	for i, k := range streamed {
+		if k != i+2 {
+			t.Fatalf("second sweep streamed levels k=%v, want k=2..14 in ascending order", streamed)
+		}
 	}
 
 	// A from-scratch engine sweeping k=2..14 must reach the bit-identical
@@ -298,4 +312,111 @@ func grepFamily(expo, prefix string) string {
 		}
 	}
 	return strings.Join(out, "\n")
+}
+
+// TestSweepLevelsBoundedByTable: a sweep's level list is sized by the table,
+// not by the client's max_k. Classic, adaptive and k-set sweeps reaching
+// k = 2⁴⁰ finish with the series and decision of the same sweep capped at
+// the row count, and publish the levels no table of that size can hold as
+// one infeasible skip range.
+func TestSweepLevelsBoundedByTable(t *testing.T) {
+	e, p, q, sc := testFixture(t, service.Options{Workers: 1, LevelIndexSize: -1})
+	e.Start()
+	rows := sc.P.NumRows()
+	const huge = 1 << 40
+
+	run := func(sp service.Spec) (service.Status, []service.Skip) {
+		t.Helper()
+		st, err := e.Submit(service.DefaultTenant, sp)
+		if err != nil {
+			t.Fatal(err)
+		}
+		st = waitDone(t, e, st.ID)
+		if st.State != service.StateDone {
+			t.Fatalf("sweep %+v ended %s: %s", sp, st.State, st.Error)
+		}
+		var skips []service.Skip
+		for ev := range mustStream(t, e, st.ID) {
+			if ev.Type == service.EventSkip {
+				skips = append(skips, *ev.Skip)
+			}
+		}
+		return st, skips
+	}
+
+	capped := sweepSpec(p, q)
+	capped.MaxK = rows
+	stCapped, _ := run(capped)
+	var tu float64
+	for _, ls := range stCapped.Levels {
+		if ls.K == 6 {
+			tu = ls.Utility
+		}
+	}
+	adaptiveCapped := capped
+	adaptiveCapped.Adaptive, adaptiveCapped.Tu = true, tu
+	ksetCapped := capped
+	ksetCapped.KSet = []int{2, 5, 9}
+
+	cases := []struct {
+		name        string
+		capped      service.Spec
+		fromK       int
+		uncappedSet []int
+	}{
+		{name: "classic", capped: capped, fromK: rows + 1},
+		{name: "adaptive", capped: adaptiveCapped, fromK: rows + 1},
+		{name: "k-set", capped: ksetCapped, fromK: huge, uncappedSet: []int{2, 5, 9, huge}},
+	}
+	for _, c := range cases {
+		want := stCapped
+		if c.name != "classic" {
+			want, _ = run(c.capped)
+		}
+		sp := c.capped
+		sp.MaxK = huge
+		if c.uncappedSet != nil {
+			sp.KSet = c.uncappedSet
+		}
+		got, skips := run(sp)
+
+		if len(got.Levels) != len(want.Levels) {
+			t.Fatalf("%s: max_k=2^40 reported %d levels, capped sweep %d", c.name, len(got.Levels), len(want.Levels))
+		}
+		for i := range got.Levels {
+			a, b := got.Levels[i], want.Levels[i]
+			// Phase timings are wall-clock measurements; everything else
+			// must match bit for bit.
+			a.AnonymizeNS, a.FuseNS, a.MetricsNS = b.AnonymizeNS, b.FuseNS, b.MetricsNS
+			if a != b {
+				t.Fatalf("%s: level %d differs from the capped sweep:\n got %+v\nwant %+v", c.name, i, got.Levels[i], want.Levels[i])
+			}
+		}
+		for _, key := range []string{"optimal_k", "h_max", "tp", "tu", "levels_evaluated"} {
+			if got.Summary[key] != want.Summary[key] {
+				t.Errorf("%s: %s = %v, capped sweep %v", c.name, key, got.Summary[key], want.Summary[key])
+			}
+		}
+		var infeasible []service.Skip
+		for _, sk := range skips {
+			if sk.Reason == "infeasible" {
+				infeasible = append(infeasible, sk)
+			}
+		}
+		if len(infeasible) != 1 || infeasible[0].FromK != c.fromK || infeasible[0].ToK != huge {
+			t.Errorf("%s: infeasible skips %+v, want one range k=%d..%d", c.name, infeasible, c.fromK, huge)
+		}
+	}
+
+	// A selection starting above the table still fails as the sweep would.
+	tooHigh := sweepSpec(p, q)
+	tooHigh.MinK, tooHigh.MaxK = rows+1, huge
+	st, err := e.Submit(service.DefaultTenant, tooHigh)
+	if err != nil {
+		t.Fatal(err)
+	}
+	st = waitDone(t, e, st.ID)
+	if st.State != service.StateFailed || !strings.Contains(st.Error, dataset.ErrTooFewRecords.Error()) {
+		t.Fatalf("sweep from k=%d on %d rows ended %s (%q), want failed with %q", rows+1, rows, st.State, st.Error, dataset.ErrTooFewRecords)
+	}
 }

@@ -10,9 +10,9 @@ import (
 // This file implements crash recovery: Engine.Recover replays the durable
 // job log after Store.Open reloaded the tables, rebuilds terminal jobs
 // (results included, via the table backend's blob space), re-submits
-// interrupted jobs — fred-sweeps with a StartK resume point seeded from
-// their checkpointed levels, so they continue instead of restarting — and
-// compacts the log to the live image. It also hosts the table TTL sweep,
+// interrupted jobs — fred-sweeps seeded with their checkpointed levels, which
+// the planner adopts as Held seeds, so they continue instead of restarting —
+// and compacts the log to the live image. It also hosts the table TTL sweep,
 // which consults the live-job set recovery re-established.
 
 // RecoveredJob describes one job Engine.Recover restored or re-submitted.
@@ -320,8 +320,8 @@ func (e *Engine) reseedCache(j *job, res *Result) {
 }
 
 // rebuildInterrupted reconstructs an interrupted job as pending, seeded
-// with its checkpointed levels: Status.Levels and the event feed replay the
-// prefix, and a fred-sweep resumes at the first uncheckpointed level.
+// with its checkpointed levels: Status.Levels and the event feed replay
+// them, and a fred-sweep computes only the levels it has no checkpoint for.
 func (e *Engine) rebuildInterrupted(rj *replayedJob) *job {
 	ctx, cancel := context.WithCancel(e.baseCtx)
 	j := &job{
@@ -336,36 +336,19 @@ func (e *Engine) rebuildInterrupted(rj *replayedJob) *job {
 		done:   make(chan struct{}),
 		notify: make(chan struct{}),
 	}
-	// Adaptive sweeps re-plan from scratch: their checkpoints arrive in
-	// evaluation order (probes jump), which the StartK resume machinery
-	// cannot splice, and a re-run warm-starts from the level index anyway.
-	if rj.spec.Type == JobFREDSweep && len(rj.levels) > 0 && !rj.spec.adaptive() {
-		seed := make([]LevelSummary, 0, len(rj.levels))
+	// Checkpoints may arrive in any order (an adaptive search evaluates
+	// out of k order) and with gaps (recordLevel tolerates a dropped WAL
+	// append): the planner adopts whatever set they cover and computes the
+	// rest.
+	if rj.spec.Type == JobFREDSweep && len(rj.levels) > 0 {
 		for _, rec := range rj.levels {
 			if rec.Level != nil {
-				seed = append(seed, *rec.Level)
+				j.resume = append(j.resume, *rec.Level)
 			}
 		}
-		// Emission is k-ordered and gap-free from MinK, so a healthy seed is
-		// exactly MinK, MinK+1, …; verify it, because recordLevel tolerates
-		// a dropped WAL append (durability degrades, not availability) and a
-		// gapped seed spliced into a resumed sweep would duplicate or skip
-		// levels. A gapped seed is discarded — the sweep re-runs from
-		// scratch, which is always correct.
-		contiguous := true
-		for i, ls := range seed {
-			if ls.K != rj.spec.MinK+i {
-				contiguous = false
-				break
-			}
-		}
-		if contiguous {
-			j.resume = &resumeSeed{startK: seed[len(seed)-1].K + 1, levels: seed}
-			j.status.Levels = seed
-			j.events = eventsFromCheckpoints(rj)
-			total := rj.spec.MaxK - rj.spec.MinK + 1
-			j.status.Progress = 0.95 * float64(len(seed)) / float64(total)
-		}
+		j.status.Levels = j.resume
+		j.events = eventsFromCheckpoints(rj)
+		j.status.Progress = rj.levels[len(rj.levels)-1].Progress
 	}
 	e.mu.Lock()
 	e.jobs[j.status.ID] = j

@@ -14,10 +14,11 @@ const (
 	// classic range sweeps; evaluation order (probes jump) for adaptive
 	// jobs, each level tagged with its Source.
 	EventLevel EventType = "level"
-	// EventSkip reports a contiguous run of requested levels an adaptive
-	// sweep decided not to evaluate, with the reason (bisection, deadline,
-	// infeasible). Skip events have no durable identity (seq 0) and are
-	// always replayed.
+	// EventSkip reports a contiguous run of requested levels a sweep did
+	// not evaluate, with the reason: bisection or deadline (adaptive sweeps
+	// only), or infeasible (levels above the table's row count, on any
+	// sweep). Skip events have no durable identity (seq 0) and are always
+	// replayed.
 	EventSkip EventType = "skip"
 	// EventStatus carries the terminal status snapshot and always closes the
 	// stream.
@@ -315,10 +316,10 @@ func (e *Engine) recordLevel(j *job, ls LevelSummary, cal *Calibration, progress
 }
 
 // recordSkip publishes a planner skip range to subscribers. Skips are not
-// WAL-checkpointed — an adaptive job interrupted by a crash re-plans from
-// scratch anyway (its checkpoints are non-contiguous and recovery discards
-// them) — so the event carries no durable sequence number and is always
-// replayed to reconnecting subscribers.
+// WAL-checkpointed — a sweep resumed after a crash re-plans around its
+// checkpointed levels and publishes its skips afresh — so the event
+// carries no durable sequence number and is always replayed to
+// reconnecting subscribers.
 func (e *Engine) recordSkip(j *job, sk Skip) {
 	j.mu.Lock()
 	defer j.mu.Unlock()

@@ -2,22 +2,24 @@ package service
 
 import (
 	"context"
-	"sort"
+	"fmt"
 	"strconv"
 	"time"
 
 	"repro/internal/core"
 	"repro/internal/core/planner"
+	"repro/internal/dataset"
 	"repro/internal/metrics"
 	"repro/internal/obs"
 )
 
-// This file is the fred-sweep job executor: the classic exhaustive range
-// walk (runFREDSweep) and the adaptive planner path (runAdaptiveSweep) a
-// spec opts into with adaptive/k_set/stride/budget_ms. Both warm-start from
-// the engine's cross-job level index, publish per-level events and trace
-// spans, and end in core.DecideWithin — so their decisions are bit-identical
-// for the same series.
+// This file is the fred-sweep job executor. Every sweep runs through the
+// planner: a classic spec as its exhaustive walk, an adaptive spec
+// (adaptive/k_set/stride/budget_ms) as a search. Either way the sweep
+// warm-starts from the engine's cross-job level index, resumes from a
+// crashed run's checkpoints, publishes per-level events and trace spans,
+// and ends in core.DecideWithin — so decisions are bit-identical for the
+// same series.
 //
 // The selection deliberately differs from core.Run/Decide: the service
 // sweeps the full requested selection (the client asked for — and receives
@@ -26,64 +28,12 @@ import (
 // by Tp alone. On a non-monotone utility series the two can admit different
 // candidate sets.
 
-// sweepEmitter funnels every level entering a sweep job's series — computed,
-// warm-started or resume-seeded — through one bookkeeping path: the series,
-// the WAL checkpoint, the event stream, metrics and traces.
-type sweepEmitter struct {
-	e        *Engine
-	j        *job
-	ctx      context.Context
-	tenant   string
-	explicit bool
-	tp, tu   float64
-	total    int
-	// calibrate enables the running-calibration payload on level events;
-	// the classic path emits ascending series where the running calibration
-	// is meaningful, the adaptive path does not.
-	calibrate bool
-
-	levels []core.LevelResult
-}
-
-// emit records one level. source is "" for computed levels, "warm" for
-// level-index seeds.
-func (se *sweepEmitter) emit(lr core.LevelResult, source string) {
-	se.levels = append(se.levels, lr)
-	ls := summarizeLevel(lr)
-	ls.Candidate = se.explicit && lr.After >= se.tp && lr.Utility >= se.tu
-	var cal *Calibration
-	if se.calibrate {
-		if tp, tu, err := core.CalibrateThresholds(se.levels); err == nil {
-			cal = &Calibration{Tp: tp, Tu: tu}
-		}
-	}
-	se.e.recordLevel(se.j, ls, cal, 0.95*float64(len(se.levels))/float64(se.total), source)
-	if source == "warm" {
-		se.e.metrics.plannerWarm.With(se.tenant).Inc()
-		se.e.logger.DebugContext(se.ctx, "sweep level warm-started",
-			"k", lr.K, "after", lr.After, "utility", lr.Utility)
-		return
-	}
-	se.e.metrics.plannerEvaluated.With(se.tenant).Inc()
-	// One trace span per computed level, timed where the work ran (core
-	// measures lr.Elapsed inside RunLevel), so concurrent sweeps report true
-	// per-level cost rather than emission gaps.
-	se.e.tracer.Record(obs.Span{
-		Job:        obs.JobID(se.ctx),
-		Name:       "sweep.level",
-		Start:      time.Now().Add(-lr.Elapsed),
-		DurationNS: int64(lr.Elapsed),
-		Attrs:      map[string]string{"k": strconv.Itoa(lr.K)},
-	})
-	se.e.logger.DebugContext(se.ctx, "sweep level",
-		"k", lr.K, "after", lr.After, "utility", lr.Utility, "elapsed", lr.Elapsed)
-}
-
-// finishSweep is the shared decision tail: resolve thresholds, decide over
-// the (ascending) series with the band selection, rebuild the optimal
+// finishSweep is the decision tail: resolve thresholds, decide over the
+// planner's ascending series with the band selection, rebuild the optimal
 // release if the argmax landed on a level without one (warm or
 // resume-seeded), and index the series for future warm starts.
-func (e *Engine) finishSweep(j *job, levels []core.LevelResult, tp, tu float64, evaluated int, partial bool) (*Result, error) {
+func (e *Engine) finishSweep(j *job, out *planner.Outcome) (*Result, error) {
+	levels, tp, tu := out.Levels, j.spec.Tp, j.spec.Tu
 	if tp == 0 && tu == 0 {
 		var err error
 		if tp, tu, err = core.CalibrateThresholds(levels); err != nil {
@@ -112,159 +62,101 @@ func (e *Engine) finishSweep(j *job, levels []core.LevelResult, tp, tu float64, 
 		Hmax:      res.Hmax,
 		Tp:        tp,
 		Tu:        tu,
-		Evaluated: evaluated,
-		Partial:   partial,
+		Evaluated: out.Evaluated,
+		Partial:   out.Partial,
 	}, nil
 }
 
-// runFREDSweep is Algorithm 1 as a service job: the level sweep runs through
-// core.SweepStream on SweepWorkers workers, so levels arrive in k order as
-// they complete. Each completed level advances progress, is stored on the
-// running job as a partial result, and is published to Engine.Stream
-// subscribers together with the running threshold calibration over the
-// prefix. Cancellation interrupts the sweep between levels. Levels an
-// earlier sweep of the same (table, adversary, scheme, range) already
-// computed are adopted from the level index — held out of the stream and
-// interleaved into the emission at their k position — so an overlapping
-// re-sweep computes only the gap. Specs with adaptive selections route to
-// the planner instead.
+// runFREDSweep is Algorithm 1 as a service job, run through the planner. A
+// classic spec passes no thresholds and no deadline, which selects the
+// planner's exhaustive walk: levels stream in ascending k on SweepWorkers
+// workers, each event carrying the running calibration over the prefix.
+// Adaptive specs let the planner search; their events arrive in evaluation
+// order. Levels the job already has enter as Held seeds: level-index levels
+// of an earlier sweep of the same table stream with source "warm", and a
+// recovered job's own checkpoints (already in its status and event feed)
+// join the series silently. Either way the final series is bit-identical
+// to an uninterrupted from-scratch run's.
 func (e *Engine) runFREDSweep(ctx context.Context, j *job) (*Result, error) {
-	if j.spec.adaptive() {
-		return e.runAdaptiveSweep(ctx, j)
-	}
-	sp := j.spec
-	total := sp.MaxK - sp.MinK + 1
-	se := &sweepEmitter{
-		e: e, j: j, ctx: ctx, tenant: j.snapshot().Tenant,
-		// With explicit thresholds, per-level candidacy is decidable as
-		// levels stream; under auto-calibration it is settled only after
-		// the sweep.
-		explicit: sp.Tp != 0 || sp.Tu != 0, tp: sp.Tp, tu: sp.Tu,
-		total: total, calibrate: true,
-		levels: make([]core.LevelResult, 0, total),
-	}
-
-	// A recovered job seeds the series with its checkpointed levels and
-	// resumes the stream at startK; the level numbers round-tripped the WAL
-	// losslessly, so the final series is bit-identical to an uninterrupted
-	// run. Seeded levels carry no Release/Phat tables — recomputed on demand
-	// in finishSweep. Resume and warm-start are mutually exclusive: the
-	// checkpointed prefix already covers the warm levels' k range or the
-	// contiguity check would have discarded it.
-	startK := 0
-	var warm map[int]core.LevelResult
-	if j.resume != nil {
-		for _, ls := range j.resume.levels {
-			se.levels = append(se.levels, core.LevelResult{
-				K: ls.K, Before: ls.Before, After: ls.After,
-				Gain: ls.Gain, Utility: ls.Utility, Candidate: ls.Candidate,
-				AnonymizeTime: time.Duration(ls.AnonymizeNS),
-				FuseTime:      time.Duration(ls.FuseNS),
-				MetricsTime:   time.Duration(ls.MetricsNS),
-			})
-		}
-		startK = j.resume.startK
-	} else {
-		warm = e.levels.Get(j.levelKey, rangeKs(sp.MinK, sp.MaxK))
-	}
-	warmKs := make([]int, 0, len(warm))
-	for k := range warm {
-		warmKs = append(warmKs, k)
-	}
-	sort.Ints(warmKs)
-	held := make(map[int]bool, len(warm))
-	for k := range warm {
-		held[k] = true
-	}
-	// flushWarmBelow interleaves warm levels into the ascending emission:
-	// every warm level below k enters the series before k does. k < 0
-	// flushes the rest.
-	flushWarmBelow := func(k int) {
-		for len(warmKs) > 0 && (k < 0 || warmKs[0] < k) {
-			se.emit(warm[warmKs[0]], "warm")
-			warmKs = warmKs[1:]
-		}
-	}
-
-	evaluated := 0
-	if startK <= sp.MaxK {
-		err := core.SweepStream(ctx, j.p, core.StreamConfig{
-			Anonymizer:      anonymizerFor(sp.Scheme),
-			Attack:          sp.attackConfig(j.aux),
-			MinK:            sp.MinK,
-			MaxK:            sp.MaxK,
-			StartK:          startK,
-			Held:            held,
-			Workers:         e.opts.SweepWorkers,
-			MinParallelRows: core.MinParallelSweepRows,
-		}, func(lr core.LevelResult) error {
-			flushWarmBelow(lr.K)
-			se.emit(lr, "")
-			evaluated++
-			return nil
-		})
-		if err != nil {
-			return nil, err
-		}
-	}
-	flushWarmBelow(-1)
-
-	return e.finishSweep(j, se.levels, sp.Tp, sp.Tu, evaluated, false)
-}
-
-// rangeKs expands [lo, hi] into the explicit ascending level list the level
-// index and the planner consume.
-func rangeKs(lo, hi int) []int {
-	ks := make([]int, 0, hi-lo+1)
-	for k := lo; k <= hi; k++ {
-		ks = append(ks, k)
-	}
-	return ks
-}
-
-// runAdaptiveSweep executes a fred-sweep through the planner: k-sets and
-// strides expand to an explicit level list, cached levels of the same table
-// warm-start the run, explicit thresholds enable bisection of the Tu
-// crossing, and a wall-clock budget stops evaluation at the deadline with a
-// well-defined partial result. Level events arrive in evaluation order
-// (probes jump around the range), each tagged with its source; skipped
-// ranges are published as skip events, and the plan's accounting lands in
-// the job trace ("planner.plan", "planner.warmstart", "planner.skip").
-func (e *Engine) runAdaptiveSweep(ctx context.Context, j *job) (*Result, error) {
 	sp := j.spec
 	tenant := j.snapshot().Tenant
-	ks, err := planner.Expand(sp.MinK, sp.MaxK, sp.Stride, sp.KSet)
+	ks, tail, err := sweepLevels(sp, j.p.NumRows())
 	if err != nil {
 		return nil, err
 	}
-	warm := e.levels.Get(j.levelKey, ks)
-	held := make(map[int]core.LevelResult, len(warm))
-	for k, lr := range warm {
-		held[k] = lr
+	held := e.levels.Get(j.levelKey, ks)
+	resumed := make(map[int]bool, len(j.resume))
+	for _, ls := range j.resume {
+		// A checkpoint wins over a warm seed: it is in the event feed.
+		held[ls.K] = core.LevelResult{
+			K: ls.K, Before: ls.Before, After: ls.After,
+			Gain: ls.Gain, Utility: ls.Utility, Candidate: ls.Candidate,
+			AnonymizeTime: time.Duration(ls.AnonymizeNS),
+			FuseTime:      time.Duration(ls.FuseNS),
+			MetricsTime:   time.Duration(ls.MetricsNS),
+		}
+		resumed[ls.K] = true
 	}
-	se := &sweepEmitter{
-		e: e, j: j, ctx: ctx, tenant: tenant,
-		explicit: sp.Tp != 0 || sp.Tu != 0, tp: sp.Tp, tu: sp.Tu,
-		total: len(ks),
-	}
+	// series is every level entering the run, in hook order: progress and
+	// the running calibration count over it.
+	var series []core.LevelResult
 	var warmSeen []int
+	// emit checkpoints and publishes a computed level (source "") or a
+	// level-index seed (source "warm").
+	emit := func(lr core.LevelResult, source string) {
+		ls := summarizeLevel(lr)
+		// With explicit thresholds, per-level candidacy is decidable as
+		// levels stream; under auto-calibration it is settled only after
+		// the sweep.
+		ls.Candidate = (sp.Tp != 0 || sp.Tu != 0) && lr.After >= sp.Tp && lr.Utility >= sp.Tu
+		var cal *Calibration
+		// A classic spec's walk emits an ascending series, the only order
+		// in which the running calibration is meaningful.
+		if !sp.adaptive() {
+			if tp, tu, err := core.CalibrateThresholds(series); err == nil {
+				cal = &Calibration{Tp: tp, Tu: tu}
+			}
+		}
+		e.recordLevel(j, ls, cal, 0.95*float64(len(series))/float64(len(ks)), source)
+		if source == "warm" {
+			e.metrics.plannerWarm.With(tenant).Inc()
+			e.logger.DebugContext(ctx, "sweep level warm-started",
+				"k", lr.K, "after", lr.After, "utility", lr.Utility)
+			return
+		}
+		e.metrics.plannerEvaluated.With(tenant).Inc()
+		// One trace span per computed level, timed where the work ran (core
+		// measures lr.Elapsed inside RunLevel), so concurrent sweeps report
+		// true per-level cost rather than emission gaps.
+		e.tracer.Record(obs.Span{
+			Job:        obs.JobID(ctx),
+			Name:       "sweep.level",
+			Start:      time.Now().Add(-lr.Elapsed),
+			DurationNS: int64(lr.Elapsed),
+			Attrs:      map[string]string{"k": strconv.Itoa(lr.K)},
+		})
+		e.logger.DebugContext(ctx, "sweep level",
+			"k", lr.K, "after", lr.After, "utility", lr.Utility, "elapsed", lr.Elapsed)
+	}
 	cfg := planner.Config{
 		Anonymizer:      anonymizerFor(sp.Scheme),
 		Attack:          sp.attackConfig(j.aux),
 		Levels:          ks,
-		Tp:              sp.Tp,
-		Tu:              sp.Tu,
 		Workers:         e.opts.SweepWorkers,
 		MinParallelRows: core.MinParallelSweepRows,
 		Held:            held,
 		Hooks: planner.Hooks{
-			Level: func(lr core.LevelResult, warmLevel bool) {
-				source := ""
-				if warmLevel {
-					source = "warm"
+			Level: func(lr core.LevelResult, seed bool) {
+				series = append(series, lr)
+				switch {
+				case !seed:
+					emit(lr, "")
+				case resumed[lr.K]:
+					// Its checkpoint and event exist already.
+				default:
 					warmSeen = append(warmSeen, lr.K)
+					emit(lr, "warm")
 				}
-				se.emit(lr, source)
 			},
 			Fallback: func(reason string) {
 				e.metrics.plannerFallbacks.With(tenant).Inc()
@@ -276,31 +168,37 @@ func (e *Engine) runAdaptiveSweep(ctx context.Context, j *job) (*Result, error) 
 			},
 		},
 	}
-	if sp.BudgetMS > 0 {
-		cfg.Deadline = time.Now().Add(time.Duration(sp.BudgetMS) * time.Millisecond)
+	if sp.adaptive() {
+		cfg.Tp, cfg.Tu = sp.Tp, sp.Tu
+		if sp.BudgetMS > 0 {
+			cfg.Deadline = time.Now().Add(time.Duration(sp.BudgetMS) * time.Millisecond)
+		}
 	}
 	out, err := planner.Run(ctx, j.p, cfg)
 	if err != nil {
 		return nil, err
 	}
+	e.publishPlan(ctx, j, tenant, out, tail, warmSeen)
+	return e.finishSweep(j, out)
+}
 
-	// Publish the plan's accounting: warm ranges, skip ranges, and the
-	// summary span GET /v1/jobs/{id}/trace surfaces.
+// publishPlan publishes a finished plan's accounting: warm ranges, skip
+// ranges (the planner's plus the infeasible tail above the table), and the
+// summary span GET /v1/jobs/{id}/trace surfaces.
+func (e *Engine) publishPlan(ctx context.Context, j *job, tenant string, out *planner.Outcome, tail planner.SkipRange, warmSeen []int) {
 	for _, r := range compressKs(warmSeen) {
 		e.tracer.Record(obs.Span{
 			Job: obs.JobID(ctx), Name: "planner.warmstart", Start: time.Now(),
 			Attrs: map[string]string{"from_k": strconv.Itoa(r[0]), "to_k": strconv.Itoa(r[1])},
 		})
 	}
-	for _, r := range out.SkippedRanges {
+	skips := out.SkippedRanges
+	if tail.N > 0 {
+		skips = append(skips, tail)
+	}
+	for _, r := range skips {
 		e.recordSkip(j, Skip{FromK: r.FromK, ToK: r.ToK, Reason: r.Reason})
-		n := 0
-		for _, k := range ks {
-			if k >= r.FromK && k <= r.ToK {
-				n++
-			}
-		}
-		e.metrics.plannerSkipped.With(tenant, r.Reason).Add(float64(n))
+		e.metrics.plannerSkipped.With(tenant, r.Reason).Add(float64(r.N))
 		e.tracer.Record(obs.Span{
 			Job: obs.JobID(ctx), Name: "planner.skip", Start: time.Now(),
 			Attrs: map[string]string{
@@ -313,17 +211,48 @@ func (e *Engine) runAdaptiveSweep(ctx context.Context, j *job) (*Result, error) 
 	e.tracer.Record(obs.Span{
 		Job: obs.JobID(ctx), Name: "planner.plan", Start: time.Now(),
 		Attrs: map[string]string{
-			"requested":  strconv.Itoa(out.Requested),
+			"requested":  strconv.Itoa(out.Requested + tail.N),
 			"evaluated":  strconv.Itoa(out.Evaluated),
 			"warm":       strconv.Itoa(out.Warm),
 			"skipped":    strconv.Itoa(out.Skipped),
-			"infeasible": strconv.Itoa(out.Infeasible),
+			"infeasible": strconv.Itoa(out.Infeasible + tail.N),
 			"fallback":   strconv.FormatBool(out.Fallback),
 			"partial":    strconv.FormatBool(out.Partial),
 		},
 	})
+}
 
-	return e.finishSweep(j, out.Levels, sp.Tp, sp.Tu, out.Evaluated, out.Partial)
+// sweepLevels expands a spec's level selection for a table of rows rows.
+// Both schemes reject exactly k > rows, so only levels k ≤ rows are
+// expanded — max_k never sizes an allocation — and the rest come back as
+// one infeasible tail range. A selection starting above the table fails as
+// the sweep would.
+func sweepLevels(sp Spec, rows int) ([]int, planner.SkipRange, error) {
+	tail := planner.SkipRange{ToK: sp.MaxK, Reason: planner.SkipInfeasible}
+	if sp.MinK > rows {
+		return nil, tail, fmt.Errorf("service: level k=%d: %w", sp.MinK, dataset.ErrTooFewRecords)
+	}
+	var set []int
+	for _, k := range sp.KSet { // ascending: withDefaults sorts it
+		if k <= rows {
+			set = append(set, k)
+			continue
+		}
+		if tail.N == 0 {
+			tail.FromK = k
+		}
+		tail.N++
+	}
+	ks, err := planner.Expand(sp.MinK, min(sp.MaxK, rows), sp.Stride, set)
+	if err != nil {
+		return nil, tail, err
+	}
+	if len(sp.KSet) == 0 {
+		stride, last := max(sp.Stride, 1), ks[len(ks)-1]
+		tail.ToK = sp.MinK + (sp.MaxK-sp.MinK)/stride*stride
+		tail.FromK, tail.N = last+stride, (tail.ToK-last)/stride
+	}
+	return ks, tail, nil
 }
 
 // compressKs folds an ascending level list into maximal contiguous
