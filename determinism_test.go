@@ -133,16 +133,11 @@ func TestSweepSeriesDeterminism(t *testing.T) {
 	}
 }
 
-// legacyOnly hides an estimator's batch face: embedding only the Estimator
-// interface strips EstimateBatch, so fusion falls back to the row-at-a-time
-// path. It turns any built-in estimator into its own reference
-// implementation.
-type legacyOnly struct{ fusion.Estimator }
-
-// TestEstimatorSweepDeterminism pins the estimator axis of the batch attack
-// plane: for every built-in estimator family, a sweep through the batch
-// kernels at workers 1, 2 and 8 must be IEEE-754 bit-equal to the same sweep
-// through the legacy row-at-a-time fusion path.
+// TestEstimatorSweepDeterminism pins the estimator axis of the attack plane:
+// for every built-in estimator family, a sweep at workers 1, 2 and 8 must be
+// IEEE-754 bit-equal to the one-worker inline sweep. (That the kernels match
+// their row-at-a-time references is TestEstimateBatchMatchesEstimate's job
+// in internal/fusion.)
 func TestEstimatorSweepDeterminism(t *testing.T) {
 	sc, err := UniversityScenario(ScenarioOptions{Seed: 13, N: 120, DirectAux: true})
 	if err != nil {
@@ -153,12 +148,16 @@ func TestEstimatorSweepDeterminism(t *testing.T) {
 	// adversary's "leaked sample" — trimmed to a small prefix so KNN stays
 	// cheap and the OLS fit stays overdetermined.
 	rel := sc.P.WithSuppressed(sc.P.Schema().IndicesOf(dataset.Sensitive)...)
-	feats, _, err := fusion.Features(rel, sc.Q)
+	feats, err := fusion.FeaturesMatrix(rel, sc.Q)
 	if err != nil {
 		t.Fatal(err)
 	}
 	targets := sc.P.ColumnFloats(sc.P.Schema().MustLookup(sc.SensitiveCol), sc.SensitiveRange.Mid())
-	calib, calibT := feats[:40], targets[:40]
+	calib := make([][]float64, 40)
+	for i := range calib {
+		calib[i] = feats.Row(i)
+	}
+	calibT := targets[:40]
 
 	ests := map[string]func() fusion.Estimator{
 		"fuzzy": func() fusion.Estimator {
@@ -182,7 +181,7 @@ func TestEstimatorSweepDeterminism(t *testing.T) {
 		},
 	}
 	for name, mk := range ests {
-		want, err := sc.Sweep(2, 10, nil, legacyOnly{mk()})
+		want, err := sc.Sweep(2, 10, nil, mk())
 		if err != nil {
 			t.Fatalf("%s: reference sweep: %v", name, err)
 		}
@@ -201,7 +200,7 @@ func TestEstimatorSweepDeterminism(t *testing.T) {
 					math.Float64bits(got[i].After) != math.Float64bits(want[i].After) ||
 					math.Float64bits(got[i].Gain) != math.Float64bits(want[i].Gain) ||
 					math.Float64bits(got[i].Utility) != math.Float64bits(want[i].Utility) {
-					t.Fatalf("%s workers=%d: level k=%d diverged from the row-at-a-time bits",
+					t.Fatalf("%s workers=%d: level k=%d diverged from the inline sweep's bits",
 						name, workers, want[i].K)
 				}
 			}

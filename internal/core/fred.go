@@ -260,7 +260,7 @@ func (sc *SweepContext) attack(release *dataset.Table, ls *levelScratch) (phat *
 		return nil, 0, 0, fmt.Errorf("core: pre-fusion baseline: %w", err)
 	}
 	ls.arena.Reset()
-	phat, err = fusion.FuseWithBatch(release, sc.aux, sc.est, sc.atk.SensitiveRange, sc.budget, &ls.arena)
+	phat, err = fusion.FuseWith(release, sc.aux, sc.est, sc.atk.SensitiveRange, sc.budget, &ls.arena)
 	if err != nil {
 		return nil, 0, 0, fmt.Errorf("core: fusion attack: %w", err)
 	}

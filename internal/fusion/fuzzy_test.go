@@ -1,6 +1,7 @@
 package fusion
 
 import (
+	"math"
 	"testing"
 	"testing/quick"
 
@@ -9,7 +10,7 @@ import (
 
 func TestFuzzyMonotone(t *testing.T) {
 	features := [][]float64{{1, 500}, {5, 2500}, {9, 5500}}
-	est, err := NewFuzzy().Estimate(features, Range{40000, 160000})
+	est, err := estimate(NewFuzzy(), features, Range{40000, 160000})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -29,11 +30,11 @@ func TestFuzzyBeatsMidpointOnCorrelatedData(t *testing.T) {
 		truth = append(truth, 40000+x*120000)
 	}
 	r := Range{40000, 160000}
-	fz, err := NewFuzzy().Estimate(features, r)
+	fz, err := estimate(NewFuzzy(), features, r)
 	if err != nil {
 		t.Fatal(err)
 	}
-	mid, err := Midpoint{}.Estimate(features, r)
+	mid, err := estimate(Midpoint{}, features, r)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -54,7 +55,7 @@ func TestFuzzyDegenerateFeature(t *testing.T) {
 	// Fully generalized release: every record identical. The estimator must
 	// not fail; estimates collapse to a single central value.
 	features := [][]float64{{5}, {5}, {5}}
-	est, err := NewFuzzy().Estimate(features, Range{0, 100})
+	est, err := estimate(NewFuzzy(), features, Range{0, 100})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -70,7 +71,7 @@ func TestFuzzyTermCountVariants(t *testing.T) {
 	features := [][]float64{{1}, {3}, {5}, {7}, {9}}
 	for _, terms := range []int{2, 3, 5, 7} {
 		f := &Fuzzy{Opts: FuzzyOptions{Terms: terms}}
-		est, err := f.Estimate(features, Range{0, 100})
+		est, err := estimate(f, features, Range{0, 100})
 		if err != nil {
 			t.Fatalf("terms=%d: %v", terms, err)
 		}
@@ -81,7 +82,7 @@ func TestFuzzyTermCountVariants(t *testing.T) {
 		}
 	}
 	bad := &Fuzzy{Opts: FuzzyOptions{Terms: 1}}
-	if _, err := bad.Estimate(features, Range{0, 100}); err == nil {
+	if _, err := estimate(bad, features, Range{0, 100}); err == nil {
 		t.Error("terms=1 accepted")
 	}
 }
@@ -97,7 +98,7 @@ IF valuation IS med THEN out IS med
 `,
 	}}
 	features := [][]float64{{1, 500}, {5, 2500}, {9, 5500}}
-	est, err := f.Estimate(features, Range{40000, 160000})
+	est, err := estimate(f, features, Range{40000, 160000})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -109,7 +110,7 @@ IF valuation IS med THEN out IS med
 		FeatureNames: []string{"v"},
 		Rules:        "IF v IS high THEN out IS high",
 	}}
-	est, err = sparse.Estimate([][]float64{{0}, {10}}, Range{0, 100})
+	est, err = estimate(sparse, [][]float64{{0}, {10}}, Range{0, 100})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -118,12 +119,12 @@ IF valuation IS med THEN out IS med
 	}
 	// Broken custom rules error.
 	broken := &Fuzzy{Opts: FuzzyOptions{Rules: "IF nonsense"}}
-	if _, err := broken.Estimate([][]float64{{1}}, Range{0, 1}); err == nil {
+	if _, err := estimate(broken, [][]float64{{1}}, Range{0, 1}); err == nil {
 		t.Error("broken rules accepted")
 	}
 	// Rule referencing unknown variable errors.
 	unknown := &Fuzzy{Opts: FuzzyOptions{Rules: "IF zz IS high THEN out IS high"}}
-	if _, err := unknown.Estimate([][]float64{{1}, {2}}, Range{0, 1}); err == nil {
+	if _, err := estimate(unknown, [][]float64{{1}, {2}}, Range{0, 1}); err == nil {
 		t.Error("unknown variable accepted")
 	}
 }
@@ -141,7 +142,7 @@ func TestFuzzyEngineVariants(t *testing.T) {
 	}
 	for i, opts := range variants {
 		f := &Fuzzy{Opts: FuzzyOptions{Engine: opts}}
-		est, err := f.Estimate(features, r)
+		est, err := estimate(f, features, r)
 		if err != nil {
 			t.Fatalf("variant %d: %v", i, err)
 		}
@@ -152,21 +153,24 @@ func TestFuzzyEngineVariants(t *testing.T) {
 }
 
 func TestFuzzyErrors(t *testing.T) {
-	if _, err := NewFuzzy().Estimate(nil, Range{0, 1}); err == nil {
+	if _, err := estimate(NewFuzzy(), nil, Range{0, 1}); err == nil {
 		t.Error("no records accepted")
 	}
-	if _, err := NewFuzzy().Estimate([][]float64{{}}, Range{0, 1}); err == nil {
+	if _, err := estimate(NewFuzzy(), [][]float64{{}}, Range{0, 1}); err == nil {
 		t.Error("zero-width features accepted")
 	}
-	if _, err := NewFuzzy().Estimate([][]float64{{1}}, Range{3, 3}); err == nil {
+	if _, err := estimate(NewFuzzy(), [][]float64{{1}}, Range{3, 3}); err == nil {
 		t.Error("empty range accepted")
 	}
 	f := &Fuzzy{Opts: FuzzyOptions{FeatureNames: []string{"a", "b"}}}
-	if _, err := f.Estimate([][]float64{{1}}, Range{0, 1}); err == nil {
+	if _, err := estimate(f, [][]float64{{1}}, Range{0, 1}); err == nil {
 		t.Error("name/width mismatch accepted")
 	}
-	if _, err := NewFuzzy().Estimate([][]float64{{1}, {1, 2}}, Range{0, 1}); err == nil {
-		t.Error("ragged features accepted")
+	// Two terms: the bare shoulder partition of an infinite domain builds
+	// without a NaN breakpoint, so only the domain check can reject it.
+	inf := &Fuzzy{Opts: FuzzyOptions{Terms: 2, Domains: []Range{{0, math.Inf(1)}}}}
+	if _, err := estimate(inf, [][]float64{{1}}, Range{0, 1}); err == nil {
+		t.Error("infinite domain accepted")
 	}
 }
 
@@ -183,7 +187,7 @@ func TestFuzzyRangeProperty(t *testing.T) {
 		for i, b := range raw {
 			features[i] = []float64{float64(b)}
 		}
-		est, err := NewFuzzy().Estimate(features, Range{40000, 160000})
+		est, err := estimate(NewFuzzy(), features, Range{40000, 160000})
 		if err != nil {
 			return false
 		}

@@ -6,14 +6,12 @@ import (
 
 	"repro/internal/dataset"
 	"repro/internal/parallel"
-	"repro/internal/stats"
 )
 
-// Matrix is the flat row-major form of the adversary's feature matrix: row r
-// occupies Flat[r*Stride : (r+1)*Stride]. It carries the same values as the
-// [][]float64 the Estimator contract passes around, without the row-slice
-// headers, so batch estimators can stream it, hand it to the fuzzy batch
-// evaluator, or chunk it across workers by plain index arithmetic.
+// Matrix is the adversary's feature matrix in flat row-major form: row r
+// occupies Flat[r*Stride : (r+1)*Stride], and Names parallels the columns.
+// Without row-slice headers, estimators can stream it, hand it to the fuzzy
+// batch evaluator, or chunk it across workers by plain index arithmetic.
 type Matrix struct {
 	Flat   []float64
 	Rows   int
@@ -25,17 +23,6 @@ type Matrix struct {
 // the neighbouring row).
 func (m Matrix) Row(r int) []float64 {
 	return m.Flat[r*m.Stride : (r+1)*m.Stride : (r+1)*m.Stride]
-}
-
-// BatchEstimator is the flat-matrix fast path of an Estimator. EstimateBatch
-// must write exactly the bits Estimate would return for the same feature
-// values into est (one estimate per matrix row), drawing scratch from the
-// arena and spreading row chunks over the budget's spare workers. The
-// determinism contract of parallel.For applies: results never depend on the
-// number of workers.
-type BatchEstimator interface {
-	Estimator
-	EstimateBatch(m Matrix, out Range, b *parallel.Budget, a *Arena, est []float64) error
 }
 
 // Arena is a bump allocator for per-level fusion scratch: feature columns,
@@ -154,16 +141,20 @@ func imputedColumnInto(t *dataset.Table, idx int, a *Arena, present []bool) []fl
 	return vals
 }
 
-// FeaturesMatrix assembles the adversary's input matrix in flat row-major
-// form — the same columns, imputation and values as Features.
+// FeaturesMatrix assembles the adversary's input matrix: the numeric
+// quasi-identifiers of the release (generalized cells read at interval
+// midpoints) followed by the numeric quasi-identifiers of the aux table,
+// row-aligned. Missing cells (suppressed, unlinked web attributes) are
+// imputed with the column mean of the observed values. Names carries the
+// feature names, release columns first, aux columns prefixed "aux.".
 func FeaturesMatrix(release, aux *dataset.Table) (Matrix, error) {
 	return FeaturesMatrixWith(release, PrepareAux(aux), nil, nil)
 }
 
-// FeaturesMatrixWith is FeaturesMatrix with the aux-side columns prepared and
-// optional budget/arena: release columns are imputed into arena buffers and
-// the transpose into the flat matrix runs chunk-parallel. Every value carries
-// the exact bits of the FeaturesWith matrix.
+// FeaturesMatrixWith is FeaturesMatrix with the aux-side columns prepared —
+// the per-level half of the work — and an optional budget and arena: release
+// columns are imputed into arena buffers and the transpose into the flat
+// matrix runs chunk-parallel.
 func FeaturesMatrixWith(release *dataset.Table, aux *AuxFeatures, b *parallel.Budget, a *Arena) (Matrix, error) {
 	if aux.rows >= 0 && release.NumRows() != aux.rows {
 		return Matrix{}, fmt.Errorf("fusion: release has %d rows, aux has %d; align them first (web.Gather aligns by roster order)", release.NumRows(), aux.rows)
@@ -205,41 +196,6 @@ func FeaturesMatrixWith(release *dataset.Table, aux *AuxFeatures, b *parallel.Bu
 // per row is a handful of strided loads, so chunks stay large.
 const transposeGrain = 8192
 
-// FuseWithBatch is FuseWith on the flat-matrix fast path: when the estimator
-// implements BatchEstimator, features are assembled into an arena-backed
-// Matrix and estimated chunk-parallel under the budget, with scratch reused
-// from the arena. Estimators without a batch face fall back to FuseWith
-// unchanged. The produced table is bit-identical either way.
-func FuseWithBatch(release *dataset.Table, aux *AuxFeatures, est Estimator, out Range, b *parallel.Budget, a *Arena) (*dataset.Table, error) {
-	be, ok := est.(BatchEstimator)
-	if !ok {
-		return FuseWith(release, aux, est, out)
-	}
-	if !out.valid() {
-		return nil, fmt.Errorf("fusion: empty sensitive range [%g, %g]", out.Lo, out.Hi)
-	}
-	sens, err := sensitiveColumn(release)
-	if err != nil {
-		return nil, err
-	}
-	m, err := FeaturesMatrixWith(release, aux, b, a)
-	if err != nil {
-		return nil, err
-	}
-	if m.Rows != release.NumRows() {
-		return nil, fmt.Errorf("fusion: feature matrix has %d rows for %d records", m.Rows, release.NumRows())
-	}
-	vals := a.Floats(m.Rows)
-	if err := be.EstimateBatch(m, out, b, a, vals); err != nil {
-		return nil, err
-	}
-	for i, v := range vals {
-		vals[i] = stats.Clamp(v, out.Lo, out.Hi)
-	}
-	// WithColumnFloats copies vals, so the arena slice can be reused freely.
-	return release.WithColumnFloats(sens, vals)
-}
-
 // batchErr collects the first error raised inside a parallel region.
 type batchErr struct {
 	mu  sync.Mutex
@@ -261,14 +217,4 @@ func (e *batchErr) get() error {
 	e.mu.Lock()
 	defer e.mu.Unlock()
 	return e.err
-}
-
-// rowViews materializes the [][]float64 view of a flat matrix for estimators
-// that only implement the row-slice contract (e.g. foreign Ensemble members).
-func rowViews(m Matrix) [][]float64 {
-	rows := make([][]float64, m.Rows)
-	for r := range rows {
-		rows[r] = m.Row(r)
-	}
-	return rows
 }

@@ -112,6 +112,12 @@ func TestVariableValidation(t *testing.T) {
 	if _, err := NewVariable("x", 5, 5); err == nil {
 		t.Error("empty domain accepted")
 	}
+	nan, inf := math.NaN(), math.Inf(1)
+	for _, d := range [][2]float64{{nan, 1}, {0, nan}, {nan, nan}, {0, inf}, {-inf, 0}, {-inf, inf}} {
+		if _, err := NewVariable("x", d[0], d[1]); err == nil {
+			t.Errorf("non-finite domain [%g, %g] accepted", d[0], d[1])
+		}
+	}
 	v, _ := NewVariable("x", 0, 1)
 	if err := v.AddTerm("", Singleton{}); err == nil {
 		t.Error("empty term name accepted")

@@ -134,11 +134,29 @@ func TestParseFISErrors(t *testing.T) {
 		{"termless output", "OUTPUT y 0 1\n"},
 		{"bad rule", "OUTPUT y 0 1\nTERM y a tri 0 0.5 1\nRULE IF broken\n"},
 		{"rule unknown input", "OUTPUT y 0 1\nTERM y a tri 0 0.5 1\nRULE IF x IS a THEN y IS a\n"},
+		{"infinite output bound", "OUTPUT y 0 inf\nTERM y a trap 0 0.5 1 inf\n"},
+		{"NaN input bound", "OUTPUT y 0 1\nTERM y a tri 0 0.5 1\nINPUT x NaN 1\nTERM x a tri 0 0.5 1\n"},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
 			if _, err := ParseFIS(strings.NewReader(tc.src), Options{}); err == nil {
 				t.Errorf("accepted:\n%s", tc.src)
+			}
+		})
+	}
+	// Engine options NewSystem rejects must fail the load, not the first
+	// evaluation.
+	const minimal = "OUTPUT y 0 1\nTERM y a tri 0 0.5 1\nINPUT x 0 1\nTERM x a tri 0 0.5 1\nRULE IF x IS a THEN y IS a\n"
+	for _, tc := range []struct {
+		name string
+		opts Options
+	}{
+		{"resolution one", Options{Resolution: 1}},
+		{"negative resolution", Options{Resolution: -5}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			if _, err := ParseFIS(strings.NewReader(minimal), tc.opts); err == nil {
+				t.Errorf("accepted %+v", tc.opts)
 			}
 		})
 	}

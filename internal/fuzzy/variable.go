@@ -2,6 +2,7 @@ package fuzzy
 
 import (
 	"fmt"
+	"math"
 	"sort"
 )
 
@@ -14,10 +15,16 @@ type Variable struct {
 	order  []string
 }
 
-// NewVariable creates a variable over [lo, hi].
+// NewVariable creates a variable over [lo, hi]. Both bounds must be finite:
+// the defuzzifiers sample the output domain, and an infinite or NaN bound
+// leaves every sample point non-finite. (Membership function parameters
+// may still be infinite, as in an open shoulder.)
 func NewVariable(name string, lo, hi float64) (*Variable, error) {
 	if name == "" {
 		return nil, fmt.Errorf("fuzzy: variable needs a name")
+	}
+	if math.IsNaN(lo) || math.IsNaN(hi) || math.IsInf(lo, 0) || math.IsInf(hi, 0) {
+		return nil, fmt.Errorf("fuzzy: variable %q has non-finite domain [%g, %g]", name, lo, hi)
 	}
 	if hi <= lo {
 		return nil, fmt.Errorf("fuzzy: variable %q has empty domain [%g, %g]", name, lo, hi)
