@@ -62,8 +62,9 @@ type intern struct {
 	idx  map[string]int32
 }
 
-func newIntern() *intern {
-	it := &intern{idx: make(map[string]int32)}
+// newIntern returns an empty dictionary presized for hint strings.
+func newIntern(hint int) *intern {
+	it := &intern{strs: make([]string, 0, hint), idx: make(map[string]int32, hint)}
 	it.refs.Store(1)
 	return it
 }
@@ -176,7 +177,7 @@ func (c *colData) isNull(i int) bool { return c.nulls.get(i) }
 // before the first new append.
 func (c *colData) internID(s string) int32 {
 	if c.dict == nil {
-		c.dict = newIntern()
+		c.dict = newIntern(0)
 	}
 	if id, ok := c.dict.idx[s]; ok {
 		return id

@@ -4,7 +4,6 @@ import (
 	"bufio"
 	"encoding/binary"
 	"fmt"
-	"hash"
 	"hash/crc32"
 	"io"
 	"math"
@@ -54,7 +53,7 @@ const (
 func (t *Table) WriteSnapshot(w io.Writer) error {
 	crc := crc32.NewIEEE()
 	bw := bufio.NewWriter(io.MultiWriter(w, crc))
-	sw := &snapWriter{w: bw}
+	sw := &snapWriter{w: bw, buf: make([]byte, 0, 8*snapWriteChunk)}
 	sw.u64(snapshotMagic)
 	sw.u64(snapshotVersion)
 	sw.u64(uint64(t.schema.Len()))
@@ -86,7 +85,18 @@ func (t *Table) WriteSnapshot(w io.Writer) error {
 
 type snapWriter struct {
 	w   *bufio.Writer
+	buf []byte // reused encode scratch, snapWriteChunk values of 8 bytes
 	err error
+}
+
+// snapWriteChunk is how many fixed-width values the writer encodes into its
+// scratch buffer per Write.
+const snapWriteChunk = 512
+
+func (s *snapWriter) write(b []byte) {
+	if s.err == nil {
+		_, s.err = s.w.Write(b)
+	}
 }
 
 func (s *snapWriter) byte(b byte) {
@@ -96,21 +106,7 @@ func (s *snapWriter) byte(b byte) {
 }
 
 func (s *snapWriter) u64(v uint64) {
-	if s.err != nil {
-		return
-	}
-	var buf [8]byte
-	binary.LittleEndian.PutUint64(buf[:], v)
-	_, s.err = s.w.Write(buf[:])
-}
-
-func (s *snapWriter) u32(v uint32) {
-	if s.err != nil {
-		return
-	}
-	var buf [4]byte
-	binary.LittleEndian.PutUint32(buf[:], v)
-	_, s.err = s.w.Write(buf[:])
+	s.write(binary.LittleEndian.AppendUint64(s.buf[:0], v))
 }
 
 func (s *snapWriter) str(v string) {
@@ -122,14 +118,38 @@ func (s *snapWriter) str(v string) {
 
 func (s *snapWriter) words(b bitset) {
 	s.u64(uint64(len(b)))
-	for _, w := range b {
-		s.u64(w)
+	for len(b) > 0 {
+		c := min(len(b), snapWriteChunk)
+		out := s.buf[:0]
+		for _, w := range b[:c] {
+			out = binary.LittleEndian.AppendUint64(out, w)
+		}
+		s.write(out)
+		b = b[c:]
 	}
 }
 
 func (s *snapWriter) floats(fs []float64) {
-	for _, f := range fs {
-		s.u64(math.Float64bits(f))
+	for len(fs) > 0 {
+		c := min(len(fs), snapWriteChunk)
+		out := s.buf[:0]
+		for _, f := range fs[:c] {
+			out = binary.LittleEndian.AppendUint64(out, math.Float64bits(f))
+		}
+		s.write(out)
+		fs = fs[c:]
+	}
+}
+
+func (s *snapWriter) ids(ids []int32) {
+	for len(ids) > 0 {
+		c := min(len(ids), snapWriteChunk)
+		out := s.buf[:0]
+		for _, id := range ids[:c] {
+			out = binary.LittleEndian.AppendUint32(out, uint32(id))
+		}
+		s.write(out)
+		ids = ids[c:]
 	}
 }
 
@@ -168,9 +188,7 @@ func (s *snapWriter) column(c *colData, nrows int) {
 		for _, str := range c.dict.strs {
 			s.str(str)
 		}
-		for _, id := range c.ids[:nrows] {
-			s.u32(uint32(id))
-		}
+		s.ids(c.ids[:nrows])
 	}
 }
 
@@ -179,7 +197,7 @@ func (s *snapWriter) column(c *colData, nrows int) {
 // column buffers directly, so its canonical fingerprint matches the written
 // table bit for bit.
 func ReadSnapshot(r io.Reader) (*Table, error) {
-	sr := &snapReader{r: bufio.NewReader(r), crc: crc32.NewIEEE()}
+	sr := &snapReader{r: bufio.NewReader(r)}
 	if magic := sr.u64(); sr.err == nil && magic != snapshotMagic {
 		return nil, fmt.Errorf("dataset: read snapshot: bad magic %#x", magic)
 	}
@@ -219,12 +237,11 @@ func ReadSnapshot(r io.Reader) (*Table, error) {
 	}
 	// Everything consumed up to here is covered by the CRC; the trailer
 	// itself is read without hashing.
-	sum := sr.crc.Sum32()
 	var trailer [4]byte
 	if _, err := io.ReadFull(sr.r, trailer[:]); err != nil {
 		return nil, fmt.Errorf("dataset: read snapshot: checksum trailer: %w", err)
 	}
-	if got := binary.LittleEndian.Uint32(trailer[:]); got != sum {
+	if got, sum := binary.LittleEndian.Uint32(trailer[:]), sr.sum(); got != sum {
 		return nil, fmt.Errorf("dataset: read snapshot: checksum mismatch (stored %08x, computed %08x)", got, sum)
 	}
 	return t, nil
@@ -232,47 +249,86 @@ func ReadSnapshot(r io.Reader) (*Table, error) {
 
 // snapReader hashes exactly the bytes it consumes (not the bufio
 // read-ahead), so the running CRC at the trailer covers the payload alone.
+// Reads land back to back in one reused scratch buffer, and the checksum
+// absorbs the buffer whenever it is about to be overwritten, so decoding a
+// value costs neither an allocation nor a checksum call of its own.
 type snapReader struct {
 	r   *bufio.Reader
-	crc hash.Hash32
+	crc uint32 // CRC-32 (IEEE) of the payload consumed before buf
+	buf []byte // consumed payload not yet in crc; reused across reads
 	err error
 }
 
-// fill reads len(buf) payload bytes and feeds them into the checksum.
-func (s *snapReader) fill(buf []byte) bool {
+// snapAllocChunk caps upfront allocation while decoding length-prefixed
+// buffers: runs are read in chunks of at most this many values and slices
+// grow by append as chunks actually arrive, so a corrupt or truncated
+// header claiming 2^40 rows fails with a read error once the stream runs
+// dry instead of attempting a terabyte allocation before the checksum could
+// ever be verified.
+const snapAllocChunk = 1 << 16
+
+// fill reads the next n payload bytes into the scratch buffer. It returns
+// nil once the stream has failed; the returned slice is only valid until
+// the next fill.
+func (s *snapReader) fill(n int) []byte {
 	if s.err != nil {
-		return false
+		return nil
 	}
-	if _, err := io.ReadFull(s.r, buf); err != nil {
+	if len(s.buf)+n > cap(s.buf) {
+		s.sum()
+		if n > cap(s.buf) {
+			s.buf = make([]byte, 0, max(n, 2*cap(s.buf), 4096))
+		}
+	}
+	b := s.buf[len(s.buf) : len(s.buf)+n]
+	if _, err := io.ReadFull(s.r, b); err != nil {
 		s.err = err
-		return false
+		return nil
 	}
-	s.crc.Write(buf)
-	return true
+	s.buf = s.buf[:len(s.buf)+n]
+	return b
+}
+
+// sum folds the buffered payload into the checksum and returns it.
+func (s *snapReader) sum() uint32 {
+	s.crc = crc32.Update(s.crc, crc32.IEEETable, s.buf)
+	s.buf = s.buf[:0]
+	return s.crc
+}
+
+// readRun reads a run of n values of width bytes each, decoding each with
+// get. It reads in chunks of at most snapAllocChunk values — one fill, and
+// so at most one checksum update, per chunk — and grows the result only as
+// chunks arrive. It returns nil once the stream fails, leaving the error in
+// s.err.
+func readRun[T any](s *snapReader, n uint64, width int, get func([]byte) T) []T {
+	vs := make([]T, 0, min(n, snapAllocChunk))
+	for n > 0 {
+		c := min(n, snapAllocChunk)
+		buf := s.fill(int(c) * width)
+		if buf == nil {
+			return nil
+		}
+		for i := 0; i < len(buf); i += width {
+			vs = append(vs, get(buf[i:]))
+		}
+		n -= c
+	}
+	return vs
 }
 
 func (s *snapReader) byte() byte {
-	var buf [1]byte
-	if !s.fill(buf[:]) {
-		return 0
+	if b := s.fill(1); b != nil {
+		return b[0]
 	}
-	return buf[0]
+	return 0
 }
 
 func (s *snapReader) u64() uint64 {
-	var buf [8]byte
-	if !s.fill(buf[:]) {
-		return 0
+	if b := s.fill(8); b != nil {
+		return binary.LittleEndian.Uint64(b)
 	}
-	return binary.LittleEndian.Uint64(buf[:])
-}
-
-func (s *snapReader) u32() uint32 {
-	var buf [4]byte
-	if !s.fill(buf[:]) {
-		return 0
-	}
-	return binary.LittleEndian.Uint32(buf[:])
+	return 0
 }
 
 func (s *snapReader) str() string {
@@ -284,28 +340,14 @@ func (s *snapReader) str() string {
 		s.err = fmt.Errorf("implausible string length %d", n)
 		return ""
 	}
-	// Grow by chunks as bytes actually arrive: a corrupt length header must
-	// fail with a read error, not allocate a gigabyte before the stream
-	// runs dry (see snapAllocChunk).
-	tmp := make([]byte, min(n, snapAllocChunk))
-	out := make([]byte, 0, len(tmp))
-	for read := uint64(0); read < n; {
-		c := min(n-read, snapAllocChunk)
-		if !s.fill(tmp[:c]) {
-			return ""
-		}
-		out = append(out, tmp[:c]...)
-		read += c
+	if n <= snapAllocChunk {
+		return string(s.fill(int(n)))
 	}
-	return string(out)
+	// Longer strings grow by chunks as bytes actually arrive: a corrupt
+	// length header must fail with a read error, not allocate a gigabyte
+	// before the stream runs dry.
+	return string(readRun(s, n, 1, func(b []byte) byte { return b[0] }))
 }
-
-// snapAllocChunk caps upfront allocation while decoding length-prefixed
-// buffers: slices grow by append as bytes actually arrive, so a corrupt or
-// truncated header claiming 2^40 rows fails with a read error once the
-// stream runs dry instead of attempting a terabyte allocation before the
-// checksum could ever be verified.
-const snapAllocChunk = 1 << 16
 
 func (s *snapReader) words(nrows int) (bitset, error) {
 	n := s.u64()
@@ -315,27 +357,59 @@ func (s *snapReader) words(nrows int) (bitset, error) {
 	if max := uint64((nrows + 63) / 64); n > max {
 		return nil, fmt.Errorf("bitmap has %d words for %d rows", n, nrows)
 	}
-	b := make(bitset, 0, min(n, snapAllocChunk))
-	for i := uint64(0); i < n; i++ {
-		w := s.u64()
-		if s.err != nil {
-			return nil, s.err
-		}
-		b = append(b, w)
+	b := readRun(s, n, 8, binary.LittleEndian.Uint64)
+	if s.err != nil {
+		return nil, s.err
 	}
 	return b, nil
 }
 
 func (s *snapReader) floats(nrows int) ([]float64, error) {
-	fs := make([]float64, 0, min(nrows, snapAllocChunk))
-	for i := 0; i < nrows; i++ {
-		v := s.u64()
+	fs := readRun(s, uint64(nrows), 8, func(b []byte) float64 {
+		return math.Float64frombits(binary.LittleEndian.Uint64(b))
+	})
+	if s.err != nil {
+		return nil, s.err
+	}
+	return fs, nil
+}
+
+// dict reads a text column's dictionary: nstrs length-prefixed strings.
+func (s *snapReader) dict() (*intern, error) {
+	nstrs := s.u64()
+	if s.err != nil {
+		return nil, s.err
+	}
+	if nstrs > 1<<32 {
+		return nil, fmt.Errorf("implausible dictionary size %d", nstrs)
+	}
+	d := newIntern(int(min(nstrs, snapAllocChunk)))
+	for i := uint64(0); i < nstrs; i++ {
+		str := s.str()
 		if s.err != nil {
 			return nil, s.err
 		}
-		fs = append(fs, math.Float64frombits(v))
+		d.idx[str] = int32(len(d.strs))
+		d.strs = append(d.strs, str)
 	}
-	return fs, nil
+	return d, nil
+}
+
+// ids reads a text column's nrows dictionary ids, each checked against the
+// dictionary unless the cell is suppressed.
+func (s *snapReader) ids(nrows, nstrs int, nulls bitset) ([]int32, error) {
+	ids := readRun(s, uint64(nrows), 4, func(b []byte) int32 {
+		return int32(binary.LittleEndian.Uint32(b))
+	})
+	if s.err != nil {
+		return nil, s.err
+	}
+	for i, id := range ids {
+		if u := uint32(id); uint64(u) >= uint64(nstrs) && !nulls.get(i) {
+			return nil, fmt.Errorf("row %d: dictionary id %d out of range (%d entries)", i, u, nstrs)
+		}
+	}
+	return ids, nil
 }
 
 func (s *snapReader) column(kind ValueKind, nrows int) (*colData, error) {
@@ -367,36 +441,12 @@ func (s *snapReader) column(kind ValueKind, nrows int) (*colData, error) {
 		}
 	}
 	if flags&snapHasText != 0 {
-		nstrs := s.u64()
-		if s.err != nil {
-			return nil, s.err
+		if c.dict, err = s.dict(); err != nil {
+			return nil, err
 		}
-		if nstrs > 1<<32 {
-			return nil, fmt.Errorf("implausible dictionary size %d", nstrs)
+		if c.ids, err = s.ids(nrows, len(c.dict.strs), c.nulls); err != nil {
+			return nil, err
 		}
-		c.dict = newIntern()
-		for i := uint64(0); i < nstrs; i++ {
-			str := s.str()
-			if s.err != nil {
-				return nil, s.err
-			}
-			c.dict.idx[str] = int32(len(c.dict.strs))
-			c.dict.strs = append(c.dict.strs, str)
-		}
-		c.ids = make([]int32, 0, min(nrows, snapAllocChunk))
-		for i := 0; i < nrows; i++ {
-			id := s.u32()
-			if s.err != nil {
-				return nil, s.err
-			}
-			if uint64(id) >= nstrs && !c.nulls.get(i) {
-				return nil, fmt.Errorf("row %d: dictionary id %d out of range (%d entries)", i, id, nstrs)
-			}
-			c.ids = append(c.ids, int32(id))
-		}
-	}
-	if s.err != nil {
-		return nil, s.err
 	}
 	// A live text cell must have a dictionary to resolve against.
 	if kind == Text && c.ids == nil {

@@ -184,9 +184,10 @@ func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
 		"jobs_shed":      stats.JobsShed,
 		"tenants":        s.tenantCount(),
 	}
-	// Jobs that could not be resubmitted during recovery are degraded state
-	// an operator must see: the process is alive (still 200) but some work
-	// recorded as running before the restart is NOT running now.
+	// Jobs recovery could not fully restore are degraded state an operator
+	// must see: the process is alive (still 200) but some work recorded
+	// before the restart is lost — a running job that could not be
+	// resubmitted, or a done job whose result blob would not load.
 	if len(stats.RecoveryErrors) > 0 {
 		body["status"] = "degraded"
 		body["recovery_errors"] = stats.RecoveryErrors

@@ -8,6 +8,7 @@ import (
 	"os"
 	"path/filepath"
 	"sort"
+	"strings"
 	"testing"
 	"time"
 
@@ -294,6 +295,43 @@ func TestRecoverRestoresTerminalJobsDisk(t *testing.T) {
 	}
 	if !st2.Cached {
 		t.Fatal("identical post-restart submission missed the re-seeded cache")
+	}
+}
+
+// TestRecoverCorruptResultBlobDisk: a result blob with a flipped byte fails
+// its checksum on reload. The job still recovers done, without a result
+// table, and the loss is recorded in RecoveryErrors (healthz: degraded)
+// instead of passing silently.
+func TestRecoverCorruptResultBlobDisk(t *testing.T) {
+	dir, jobID, _, wantRes := runUninterrupted(t)
+	hash := fingerprintHex(t, wantRes.Table)
+	path := filepath.Join(dir, "results", hash+".snap")
+	raw, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	raw[len(raw)/2] ^= 0x40
+	if err := os.WriteFile(path, raw, 0o644); err != nil {
+		t.Fatal(err)
+	}
+
+	_, _, engine := openPlane(t, dir, service.Options{Workers: 1})
+	if _, err := engine.Recover(); err != nil {
+		t.Fatalf("recovery must survive a corrupt result blob, got %v", err)
+	}
+	st, err := engine.Job(service.DefaultTenant, jobID)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if st.State != service.StateDone {
+		t.Fatalf("state %s, want done", st.State)
+	}
+	if res, err := engine.Result(service.DefaultTenant, jobID); err == nil && res.Table != nil {
+		t.Fatal("a corrupt blob came back as a result table")
+	}
+	errs := engine.Stats().RecoveryErrors
+	if prefix := jobID + ": result blob " + hash + ": "; len(errs) != 1 || !strings.HasPrefix(errs[0], prefix) {
+		t.Fatalf("RecoveryErrors = %q, want one entry with prefix %q", errs, prefix)
 	}
 }
 

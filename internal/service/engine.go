@@ -378,9 +378,11 @@ type EngineStats struct {
 	JobsPending int `json:"jobs_pending"`
 	// JobsShed counts submissions refused by admission control since start.
 	JobsShed uint64 `json:"jobs_shed"`
-	// RecoveryErrors lists jobs the last Recover re-submitted that
-	// immediately failed (for example on a table deleted before the crash).
-	// Empty on a clean recovery.
+	// RecoveryErrors lists jobs the last Recover could not fully restore:
+	// re-submitted jobs that immediately failed (for example on a table
+	// deleted before the crash), and done jobs whose result blob was
+	// missing or unreadable ("<job>: result blob <hash>: <err>"), which
+	// come back done with no result table. Empty on a clean recovery.
 	RecoveryErrors []string `json:"recovery_errors,omitempty"`
 }
 

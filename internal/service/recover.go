@@ -5,6 +5,8 @@ import (
 	"fmt"
 	"sort"
 	"time"
+
+	"repro/internal/dataset"
 )
 
 // This file implements crash recovery: Engine.Recover replays the durable
@@ -132,6 +134,7 @@ func (e *Engine) Recover() ([]RecoveredJob, error) {
 	}
 	var recovered []RecoveredJob
 	var interrupted []*job
+	blobs := make(recoveredBlobs)
 	for _, id := range order {
 		rj := byID[id]
 		if rj.deleted || rj.spec.Type == "" {
@@ -185,7 +188,7 @@ func (e *Engine) Recover() ([]RecoveredJob, error) {
 			live = append(live, &rec)
 		}
 		if rj.status != nil && rj.status.State.Terminal() {
-			j := e.rebuildTerminal(rj)
+			j := e.rebuildTerminal(rj, blobs)
 			live = append(live, &WALRecord{
 				Seq: j.termSeq, Kind: WALStatus, JobID: rj.id,
 				Status: rj.status, Result: rj.result,
@@ -221,11 +224,32 @@ func firstSeqOf(rj *replayedJob) uint64 {
 	return 0
 }
 
+// recoveredBlobs memoizes result-blob loads for one Recover call, keyed by
+// content hash. Each distinct blob is read once — a missing or corrupt one
+// included — and every recovered Result naming it shares the one immutable
+// table, the same way cache hits share results.
+type recoveredBlobs map[string]loadedBlob
+
+type loadedBlob struct {
+	table *dataset.Table
+	err   error
+}
+
+func (b recoveredBlobs) load(store *Store, hash string) (*dataset.Table, error) {
+	l, ok := b[hash]
+	if !ok {
+		l.table, l.err = store.Blob(hash)
+		b[hash] = l
+	}
+	return l.table, l.err
+}
+
 // rebuildTerminal restores a finished job into the engine's log: status,
 // per-level events (for Stream replay), and — for done jobs — the Result,
-// its table reloaded from the blob space. A missing or unreadable blob
-// degrades to a result-less job rather than failing recovery.
-func (e *Engine) rebuildTerminal(rj *replayedJob) *job {
+// its table reloaded from the blob space through blobs. A missing or
+// unreadable blob degrades to a result-less job rather than failing
+// recovery, and is recorded in EngineStats.RecoveryErrors.
+func (e *Engine) rebuildTerminal(rj *replayedJob, blobs recoveredBlobs) *job {
 	j := &job{
 		status:  *rj.status,
 		seq:     rj.seq,
@@ -265,8 +289,11 @@ func (e *Engine) rebuildTerminal(rj *replayedJob) *job {
 			After:      rj.result.After,
 			Assessment: rj.result.Assessment,
 		}
-		if rj.result.TableHash != "" {
-			if t, err := e.store.Blob(rj.result.TableHash); err == nil {
+		if h := rj.result.TableHash; h != "" {
+			t, err := blobs.load(e.store, h)
+			if err != nil {
+				e.noteRecoveryError(rj.id, fmt.Errorf("result blob %s: %w", h, err))
+			} else {
 				res.Table = t
 			}
 		}
@@ -381,8 +408,9 @@ func (e *Engine) resubmit(j *job) {
 	}
 }
 
-// noteRecoveryError records a job recovery tried to re-submit but couldn't,
-// for EngineStats.RecoveryErrors / healthz.
+// noteRecoveryError records a job recovery could not fully restore — a
+// re-submission that failed, or a result blob that would not load — for
+// EngineStats.RecoveryErrors / healthz.
 func (e *Engine) noteRecoveryError(id string, err error) {
 	e.mu.Lock()
 	e.recoveryErrs = append(e.recoveryErrs, fmt.Sprintf("%s: %v", id, err))
