@@ -106,7 +106,7 @@ func BenchmarkTableIV(b *testing.B) {
 // sweepOnce runs the Figures 4-7 level sweep and reports headline values.
 func sweepOnce(b *testing.B, sc *Scenario) []core.LevelResult {
 	b.Helper()
-	levels, err := sc.Sweep(2, 16, nil, nil)
+	levels, err := sc.Sweep(2, 16, nil, nil, 1)
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -189,7 +189,7 @@ func BenchmarkAblationSchemes(b *testing.B) {
 			var levels []core.LevelResult
 			for i := 0; i < b.N; i++ {
 				var err error
-				levels, err = sc.Sweep(2, 16, anon, nil)
+				levels, err = sc.Sweep(2, 16, anon, nil, 1)
 				if err != nil {
 					b.Fatal(err)
 				}
@@ -472,14 +472,14 @@ func BenchmarkSweepParallel(b *testing.B) {
 	atk := core.AttackConfig{Aux: sc.Q, Estimator: sc.Estimator(), SensitiveRange: sc.SensitiveRange}
 	b.Run("sequential", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
-			if _, err := core.Sweep(sc.P, microagg.New(), atk, 2, 16); err != nil {
+			if _, err := core.Sweep(sc.P, microagg.New(), atk, 2, 16, 1); err != nil {
 				b.Fatal(err)
 			}
 		}
 	})
 	b.Run("parallel", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
-			if _, err := core.SweepParallel(sc.P, microagg.New(), atk, 2, 16, 0); err != nil {
+			if _, err := core.Sweep(sc.P, microagg.New(), atk, 2, 16, 0); err != nil {
 				b.Fatal(err)
 			}
 		}

@@ -129,7 +129,7 @@ func sweepFigs(seed int64, n, maxK int, figs ...string) {
 	if err != nil {
 		log.Fatal(err)
 	}
-	levels, err := sc.Sweep(2, maxK, nil, nil)
+	levels, err := sc.Sweep(2, maxK, nil, nil, 1)
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -181,16 +181,8 @@ func fig8(seed int64, n, maxK int) {
 	if err != nil {
 		log.Fatal(err)
 	}
-	probe, err := sc.Sweep(2, maxK, nil, nil)
-	if err != nil {
-		log.Fatal(err)
-	}
-	tp, tu, err := repro.CalibrateThresholds(probe)
-	if err != nil {
-		log.Fatal(err)
-	}
 	fmt.Println("== Figure 8: weighted sum of protection and utility H vs k ==")
-	fmt.Printf("(auto-calibrated thresholds: Tp = %.6g, Tu = %.6g; W1 = W2 = 0.5)\n", tp, tu)
+	fmt.Printf("(auto-calibrated thresholds: Tp = %.6g, Tu = %.6g; W1 = W2 = 0.5)\n", res.Tp, res.Tu)
 	fmt.Println("k\tH")
 	for i, li := range res.Candidates {
 		fmt.Printf("%d\t%.4f\n", res.Levels[li].K, res.H[i])

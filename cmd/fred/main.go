@@ -11,22 +11,27 @@
 //	     [-adaptive] [-kset 2,4,8] [-stride N] [-budget 30s]
 //	     [-cpuprofile cpu.pprof] [-memprofile mem.pprof]
 //
-// The sweep streams: levels print as a live table the moment each completes
-// (in k order, even with -workers > 1), so a long sweep on a big cohort
-// shows progress instead of going dark until the end. The sweep runs once —
-// when -tp and -tu are both zero, thresholds are auto-calibrated from the
-// streamed series the way the paper set them "based on experimental
-// observations", with no second probe sweep.
+// Every mode runs through the adaptive planner (internal/core/planner), and
+// levels print as a live table the moment each enters the series, so a long
+// sweep on a big cohort shows progress instead of going dark until the end.
+// The sweep runs once — when -tp and -tu are both zero, thresholds are
+// auto-calibrated from the swept series the way the paper set them "based on
+// experimental observations", with no second probe sweep.
 //
-// -adaptive, -kset, -stride and -budget switch to the adaptive planner
-// (internal/core/planner): with explicit thresholds it bisects the Tu
-// crossing instead of walking every level and prints which ranges it
-// skipped and why; -kset / -stride restrict the evaluated set; -budget
-// bounds wall-clock and reports the best partial release at the deadline.
-// Adaptive rows print in evaluation order (probes jump around the range)
-// and the decision uses the service's band semantics (both thresholds
-// filter candidacy, no Tu truncation), bit-identical to an exhaustive
-// adaptive run of the same spec.
+// The classic run decides with Algorithm 1 itself: its stopping rule
+// truncates the series where the loop would have stopped, then the Tp
+// filter and the H argmax pick the release. With explicit thresholds the
+// planner bisects the Tu crossing, evaluating every level up to and
+// including the first with U < Tu — exactly the prefix Algorithm 1 sweeps —
+// and skips the levels above it; the rows print in evaluation order.
+// Auto-calibration and -literal-loop walk every level.
+//
+// -adaptive, -kset, -stride and -budget switch to the service's band
+// semantics (both thresholds filter candidacy, no Tu truncation):
+// -adaptive bisects with explicit thresholds, -kset / -stride restrict the
+// evaluated set, and -budget bounds wall-clock and reports the best partial
+// release at the deadline. After the live table every run prints which
+// ranges the planner skipped and why.
 //
 // -cpuprofile and -memprofile write pprof profiles of the run (the heap
 // profile is taken after the sweep, post-GC) for `go tool pprof`. Profiles
@@ -46,7 +51,6 @@ import (
 	"strings"
 	"time"
 
-	"repro"
 	"repro/internal/core"
 	"repro/internal/core/planner"
 	"repro/internal/dataset"
@@ -134,7 +138,14 @@ func main() {
 		nWorkers = runtime.NumCPU()
 	}
 
-	cfg := core.Config{
+	band := *kset != "" || *stride > 1 || *budget > 0 || *adaptive
+	if band && *literal {
+		log.Fatal("fred: -literal-loop applies to the classic range sweep only")
+	}
+	if *kset != "" && *stride > 1 {
+		log.Fatal("fred: -kset and -stride are mutually exclusive")
+	}
+	res, err := sweep(p, core.Config{
 		Anonymizer:       anon,
 		Attack:           atk,
 		Tp:               *tp,
@@ -142,69 +153,9 @@ func main() {
 		MinK:             *minK,
 		MaxK:             *maxK,
 		LiteralPaperLoop: *literal,
-	}
-	// With explicit thresholds the stopping rule is decidable per level, so
-	// the stream halts the sweep the moment it fires — exactly Algorithm 1's
-	// loop. Auto-calibration needs the full series first; the stop rule is
-	// applied to the streamed levels afterwards, with no second sweep.
-	explicit := *tp != 0 || *tu != 0
-
-	var res *core.Result
-	if *kset != "" || *stride > 1 || *budget > 0 || *adaptive {
-		if *literal {
-			log.Fatal("fred: -literal-loop applies to the classic range sweep only")
-		}
-		if *kset != "" && *stride > 1 {
-			log.Fatal("fred: -kset and -stride are mutually exclusive")
-		}
-		res, err = runAdaptive(p, anon, atk, &cfg, nWorkers, *kset, *stride, *budget, explicit)
-		if err != nil {
-			log.Fatal(err)
-		}
-	} else {
-		fmt.Printf("sweeping k = %d..%d on %d workers\n", *minK, *maxK, nWorkers)
-		fmt.Printf("%4s  %13s  %13s  %13s  %12s\n", "k", "P∘P' (before)", "P∘P̂ (after)", "gain G", "utility U")
-		var levels []core.LevelResult
-		err = core.SweepStream(context.Background(), p, core.StreamConfig{
-			Anonymizer: anon,
-			Attack:     atk,
-			MinK:       *minK,
-			MaxK:       *maxK,
-			Workers:    nWorkers,
-			Tp:         *tp,
-		}, func(lr core.LevelResult) error {
-			levels = append(levels, lr)
-			fmt.Printf("%4d  %13.6g  %13.6g  %13.6g  %12.6g\n",
-				lr.K, lr.Before, lr.After, lr.Gain, lr.Utility)
-			if explicit && cfg.StopsAfter(lr) {
-				return core.ErrStopSweep
-			}
-			return nil
-		})
-		if err != nil {
-			log.Fatal(err)
-		}
-		fmt.Println()
-
-		if !explicit {
-			cfg.Tp, cfg.Tu, err = repro.CalibrateThresholds(levels)
-			if err != nil {
-				log.Fatal(err)
-			}
-			fmt.Printf("auto-calibrated thresholds: Tp = %.6g, Tu = %.6g\n", cfg.Tp, cfg.Tu)
-			// Truncate the series where Algorithm 1's stopping rule would have
-			// ended the sweep under the calibrated thresholds.
-			for i, lr := range levels {
-				if cfg.StopsAfter(lr) {
-					levels = levels[:i+1]
-					break
-				}
-			}
-		}
-
-		if res, err = core.Decide(levels, cfg); err != nil {
-			log.Fatal(err)
-		}
+	}, nWorkers, *kset, *stride, *budget, band)
+	if err != nil {
+		log.Fatal(err)
 	}
 
 	if err := report.WriteFRED(os.Stdout, res, report.Options{Markdown: *markdown}); err != nil {
@@ -227,24 +178,27 @@ func main() {
 	}
 }
 
-// runAdaptive executes the sweep through the adaptive planner and decides
-// with the band semantics (core.DecideWithin). cfg's thresholds are updated
-// in place when auto-calibrated so the report reflects the values used.
-func runAdaptive(p *dataset.Table, anon core.Anonymizer, atk core.AttackConfig, cfg *core.Config, workers int, kset string, stride int, budget time.Duration, explicit bool) (*core.Result, error) {
+// sweep runs the requested levels through the planner, printing each as it
+// enters the series, and decides: band runs with core.DecideWithin, classic
+// runs with core.Decide, whose stopping rule rebuilds core.Run's series
+// from the planner's. Auto-calibrated thresholds are printed and recorded
+// in the result.
+func sweep(p *dataset.Table, cfg core.Config, workers int, kset string, stride int, budget time.Duration, band bool) (*core.Result, error) {
 	set, err := parseKSet(kset)
 	if err != nil {
 		return nil, err
 	}
-	ks, err := planner.Expand(cfg.MinK, cfg.MaxK, stride, set)
+	// No level above the table's row count can be anonymized: clamping keeps
+	// an oversized -maxk from materializing its level list.
+	ks, err := planner.Expand(cfg.MinK, min(cfg.MaxK, max(cfg.MinK, p.NumRows())), stride, set)
 	if err != nil {
 		return nil, err
 	}
+	explicit := cfg.Tp != 0 || cfg.Tu != 0
 	pcfg := planner.Config{
-		Anonymizer:      anon,
-		Attack:          atk,
+		Anonymizer:      cfg.Anonymizer,
+		Attack:          cfg.Attack,
 		Levels:          ks,
-		Tp:              cfg.Tp,
-		Tu:              cfg.Tu,
 		Workers:         workers,
 		MinParallelRows: core.MinParallelSweepRows,
 		Hooks: planner.Hooks{
@@ -257,10 +211,15 @@ func runAdaptive(p *dataset.Table, anon core.Anonymizer, atk core.AttackConfig, 
 			},
 		},
 	}
+	// Bisection assumes the prose stopping rule, so the literal loop walks
+	// like auto-calibration does.
+	if explicit && !cfg.LiteralPaperLoop {
+		pcfg.Tp, pcfg.Tu = cfg.Tp, cfg.Tu
+	}
 	if budget > 0 {
 		pcfg.Deadline = time.Now().Add(budget)
 	}
-	fmt.Printf("adaptive sweep over %d requested levels on %d workers\n", len(ks), workers)
+	fmt.Printf("sweeping %d levels (k = %d..%d) on %d workers\n", len(ks), ks[0], ks[len(ks)-1], workers)
 	fmt.Printf("%4s  %13s  %13s  %13s  %12s\n", "k", "P∘P' (before)", "P∘P̂ (after)", "gain G", "utility U")
 	out, err := planner.Run(context.Background(), p, pcfg)
 	if err != nil {
@@ -275,12 +234,15 @@ func runAdaptive(p *dataset.Table, anon core.Anonymizer, atk core.AttackConfig, 
 	}
 	fmt.Printf("evaluated %d of %d requested levels\n", out.Evaluated, out.Requested)
 	if !explicit {
-		if cfg.Tp, cfg.Tu, err = repro.CalibrateThresholds(out.Levels); err != nil {
+		if cfg.Tp, cfg.Tu, err = core.CalibrateThresholds(out.Levels); err != nil {
 			return nil, err
 		}
 		fmt.Printf("auto-calibrated thresholds: Tp = %.6g, Tu = %.6g\n", cfg.Tp, cfg.Tu)
 	}
-	return core.DecideWithin(out.Levels, cfg.Tp, cfg.Tu, metrics.DefaultHOptions())
+	if band {
+		return core.DecideWithin(out.Levels, cfg.Tp, cfg.Tu, metrics.DefaultHOptions())
+	}
+	return core.Decide(out.Levels, cfg)
 }
 
 // parseKSet parses the -kset flag: comma-separated anonymization levels.

@@ -105,12 +105,12 @@ func TestSweepSeriesDeterminism(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			want, err := sc.Sweep(2, 12, scheme.anon, nil)
+			want, err := sc.Sweep(2, 12, scheme.anon, nil, 1)
 			if err != nil {
 				t.Fatal(err)
 			}
 			for _, workers := range determinismWorkers {
-				got, err := sc.SweepParallel(2, 12, scheme.anon, nil, workers)
+				got, err := sc.Sweep(2, 12, scheme.anon, nil, workers)
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -181,13 +181,13 @@ func TestEstimatorSweepDeterminism(t *testing.T) {
 		},
 	}
 	for name, mk := range ests {
-		want, err := sc.Sweep(2, 10, nil, mk())
+		want, err := sc.Sweep(2, 10, nil, mk(), 1)
 		if err != nil {
 			t.Fatalf("%s: reference sweep: %v", name, err)
 		}
 		est := mk() // one estimator across worker counts, as a sweep would use it
 		for _, workers := range determinismWorkers {
-			got, err := sc.SweepParallel(2, 10, nil, est, workers)
+			got, err := sc.Sweep(2, 10, nil, est, workers)
 			if err != nil {
 				t.Fatalf("%s workers=%d: %v", name, workers, err)
 			}

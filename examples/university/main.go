@@ -25,7 +25,7 @@ func main() {
 	fmt.Printf("Cohort: %d faculty, salaries in [$%.0f, $%.0f], %d web pages\n\n",
 		sc.P.NumRows(), sc.SensitiveRange.Lo, sc.SensitiveRange.Hi, sc.Corpus.Len())
 
-	levels, err := sc.Sweep(2, *maxK, nil, nil)
+	levels, err := sc.Sweep(2, *maxK, nil, nil, 1)
 	if err != nil {
 		log.Fatal(err)
 	}

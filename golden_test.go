@@ -35,7 +35,7 @@ func computeGoldenLevels(t *testing.T) []goldenLevel {
 	if err != nil {
 		t.Fatal(err)
 	}
-	levels, err := sc.Sweep(2, 16, nil, nil)
+	levels, err := sc.Sweep(2, 16, nil, nil, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -90,18 +90,18 @@ func TestGoldenSweepSeries(t *testing.T) {
 	}
 }
 
-// TestGoldenSweepParallelMatches pins SweepParallel to the same series —
+// TestGoldenSweepParallelMatches pins a four-worker Sweep to the same series —
 // the concurrency must not change a single bit either.
 func TestGoldenSweepParallelMatches(t *testing.T) {
 	sc, err := UniversityScenario(ScenarioOptions{Seed: 42, N: 40})
 	if err != nil {
 		t.Fatal(err)
 	}
-	seq, err := sc.Sweep(2, 16, nil, nil)
+	seq, err := sc.Sweep(2, 16, nil, nil, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
-	par, err := sc.SweepParallel(2, 16, nil, nil, 4)
+	par, err := sc.Sweep(2, 16, nil, nil, 4)
 	if err != nil {
 		t.Fatal(err)
 	}

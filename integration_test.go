@@ -127,7 +127,7 @@ func TestPerturbationInsideSweep(t *testing.T) {
 	// naive fuzzy fusion does WORSE than the midpoint — the garbage release
 	// features poison the estimator (recorded in EXPERIMENTS.md).
 	lap.Epsilon = func(k int) float64 { return 10 / float64(k) }
-	levels, err := core.Sweep(sc.P, lap, atk, 2, 8)
+	levels, err := core.Sweep(sc.P, lap, atk, 2, 8, 1)
 	if err != nil {
 		t.Fatal(err)
 	}

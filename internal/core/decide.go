@@ -28,38 +28,48 @@ type Result struct {
 	Hmax float64
 	// Optimal is the fusion-resilient release P'_opt.
 	Optimal *dataset.Table
+	// Tp and Tu are the thresholds the decision applied — the configured
+	// ones, or the auto-calibrated ones when a caller derived them from
+	// the series.
+	Tp, Tu float64
 }
 
 // ErrNoCandidate is returned when no level passes both thresholds.
 var ErrNoCandidate = errors.New("core: no anonymization level satisfies the thresholds")
 
-// StopsAfter reports whether Algorithm 1's stopping rule ends the sweep
+// stopsAfter reports whether Algorithm 1's stopping rule ends the sweep
 // after this level: the prose rule stops once utility falls below Tu, the
 // literal pseudocode rule ("repeat … until U_level ≥ Tu") as soon as a
 // release is useful.
-func (cfg Config) StopsAfter(lr LevelResult) bool {
+func (cfg Config) stopsAfter(lr LevelResult) bool {
 	if cfg.LiteralPaperLoop {
 		return lr.Utility >= cfg.Tu
 	}
 	return lr.Utility < cfg.Tu
 }
 
-// Decide applies Algorithm 1's selection to a swept (possibly truncated)
-// series: the Tp candidate filter, the weighted objective H over the
-// candidates, and the argmax. It records candidacy on the series in place
-// and returns the partial Result alongside ErrNoCandidate when no level
-// passes the filter. Run is SweepStream + Decide; callers that stream a
-// sweep themselves (e.g. a CLI printing levels live) reuse it to reach
-// Run's exact decision without a second sweep — provided they also apply
-// Run's Tu stopping rule (Config.StopsAfter) as truncation first. The
-// service's fred-sweep job deliberately deviates: it sweeps the full
-// requested range and filters candidacy by both thresholds instead of
-// truncating at Tu (DecideWithin).
+// Decide applies Algorithm 1 to a swept series: the stopping rule, which
+// keeps the levels up to and including the first one where it fires; the
+// Tp candidate filter; the weighted objective H over the candidates; and
+// the argmax. The truncation is idempotent on Run's already-stopped series,
+// so any series holding Run's prefix — a full sweep, a planner run, a
+// series streamed live by a CLI — reaches Run's exact decision without a
+// second sweep. It records candidacy on the series in place and returns
+// the partial Result alongside ErrNoCandidate when no level passes the
+// filter. The service's fred-sweep job deliberately deviates: it considers
+// the full requested range and filters candidacy by both thresholds
+// instead of truncating at Tu (DecideWithin).
 func Decide(levels []LevelResult, cfg Config) (*Result, error) {
+	for i, lr := range levels {
+		if cfg.stopsAfter(lr) {
+			levels = levels[:i+1]
+			break
+		}
+	}
 	if cfg.HOpts.W1 == 0 && cfg.HOpts.W2 == 0 {
 		cfg.HOpts = metrics.DefaultHOptions()
 	}
-	res := &Result{Levels: levels}
+	res := &Result{Levels: levels, Tp: cfg.Tp, Tu: cfg.Tu}
 	for i := range res.Levels {
 		res.Levels[i].Candidate = res.Levels[i].After >= cfg.Tp
 		if res.Levels[i].Candidate {
@@ -93,7 +103,7 @@ func DecideWithin(levels []LevelResult, tp, tu float64, opts metrics.HOptions) (
 	if opts.W1 == 0 && opts.W2 == 0 {
 		opts = metrics.DefaultHOptions()
 	}
-	res := &Result{Levels: levels}
+	res := &Result{Levels: levels, Tp: tp, Tu: tu}
 	var dis, utl []float64
 	for i := range res.Levels {
 		res.Levels[i].Candidate = res.Levels[i].After >= tp && res.Levels[i].Utility >= tu

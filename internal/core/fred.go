@@ -12,7 +12,6 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"strings"
 	"sync"
 	"time"
 
@@ -139,12 +138,12 @@ func Attack(p, release *dataset.Table, atk AttackConfig) (phat *dataset.Table, b
 // SweepContext precomputes everything about a (P, adversary) pair that is
 // invariant across anonymization levels: the comparison columns of
 // Definition 1, P's column vectors, the aux-side fusion feature columns, and
-// the Midpoint estimator's baseline inputs. Run, Sweep and SweepParallel
-// build one context per sweep; each level then only pays for the work that
-// actually depends on k. A context is immutable after construction (the
-// worker budget is attached once, before the context is shared) and safe for
-// concurrent use; per-level mutable state lives in pooled levelScratch
-// values, one checked out per level.
+// the Midpoint estimator's baseline inputs. Every sweep builds one context;
+// each level then only pays for the work that actually depends on k. A
+// context is immutable after construction (the worker budget is attached
+// once, before the context is shared) and safe for concurrent use;
+// per-level mutable state lives in pooled levelScratch values, one checked
+// out per level.
 type SweepContext struct {
 	p   *dataset.Table
 	atk AttackConfig
@@ -362,23 +361,13 @@ func Run(p *dataset.Table, cfg Config) (*Result, error) {
 	if p == nil || p.NumRows() == 0 {
 		return nil, errors.New("core: empty private table")
 	}
-	minK := cfg.MinK
-	if minK == 0 {
-		minK = 2
-	}
-	if minK < 2 {
-		return nil, fmt.Errorf("core: MinK must be ≥ 2, got %d", minK)
-	}
-	maxK := cfg.MaxK
-	if maxK == 0 {
-		maxK = p.NumRows()
-	}
-	if maxK < minK {
-		return nil, fmt.Errorf("core: MaxK %d below MinK %d", maxK, minK)
+	minK, maxK, err := cfg.KRange(p.NumRows())
+	if err != nil {
+		return nil, err
 	}
 
 	var levels []LevelResult
-	err := SweepStream(context.Background(), p, StreamConfig{
+	err = SweepStream(context.Background(), p, StreamConfig{
 		Anonymizer: cfg.Anonymizer,
 		Attack:     cfg.Attack,
 		MinK:       minK,
@@ -387,7 +376,7 @@ func Run(p *dataset.Table, cfg Config) (*Result, error) {
 		Tp:         cfg.Tp,
 	}, func(lr LevelResult) error {
 		levels = append(levels, lr)
-		if cfg.StopsAfter(lr) {
+		if cfg.stopsAfter(lr) {
 			return ErrStopSweep
 		}
 		return nil
@@ -398,23 +387,33 @@ func Run(p *dataset.Table, cfg Config) (*Result, error) {
 	return Decide(levels, cfg)
 }
 
+// KRange resolves the level range Run sweeps over a table of rows records:
+// MinK 0 means the paper's minimal k = 2 and MaxK 0 means rows. A MinK
+// below 2 or a MaxK below MinK is an error.
+func (cfg Config) KRange(rows int) (minK, maxK int, err error) {
+	minK, maxK = cfg.MinK, cfg.MaxK
+	if minK == 0 {
+		minK = 2
+	}
+	if minK < 2 {
+		return 0, 0, fmt.Errorf("core: MinK must be ≥ 2, got %d", minK)
+	}
+	if maxK == 0 {
+		maxK = rows
+	}
+	if maxK < minK {
+		return 0, 0, fmt.Errorf("core: MaxK %d below MinK %d", maxK, minK)
+	}
+	return minK, maxK, nil
+}
+
 // Sweep evaluates every level in [minK, maxK] unconditionally — the series
 // behind Figures 4–7, which the paper plots for k = 2..16 regardless of
 // thresholds. A sweep that outgrows the table ends early rather than
-// failing. It is SweepStream with a single worker, collected into a slice.
-func Sweep(p *dataset.Table, anon Anonymizer, atk AttackConfig, minK, maxK int) ([]LevelResult, error) {
-	return sweepCollect(p, anon, atk, minK, maxK, 1)
-}
-
-// SweepParallel is Sweep with the levels evaluated concurrently — they are
-// independent, so the sweep parallelizes perfectly. Results are identical to
-// Sweep's (same order, deterministic); only wall time changes. Workers
-// bounds the concurrency (0 means one worker per level).
-func SweepParallel(p *dataset.Table, anon Anonymizer, atk AttackConfig, minK, maxK, workers int) ([]LevelResult, error) {
-	return sweepCollect(p, anon, atk, minK, maxK, workers)
-}
-
-func sweepCollect(p *dataset.Table, anon Anonymizer, atk AttackConfig, minK, maxK, workers int) ([]LevelResult, error) {
+// failing. It is SweepStream collected into a slice: workers bounds the
+// level concurrency (1 runs the levels inline, 0 means one worker per
+// level), and the series is bit-identical whatever the count.
+func Sweep(p *dataset.Table, anon Anonymizer, atk AttackConfig, minK, maxK, workers int) ([]LevelResult, error) {
 	var out []LevelResult
 	err := SweepStream(context.Background(), p, StreamConfig{
 		Anonymizer: anon,
@@ -432,20 +431,8 @@ func sweepCollect(p *dataset.Table, anon Anonymizer, atk AttackConfig, minK, max
 	return out, nil
 }
 
-// isTooFewRecords detects "k exceeds the table" errors from any anonymizer.
-// The in-tree schemes all wrap dataset.ErrTooFewRecords, checked via
-// errors.Is; the string match remains as a fallback for out-of-tree
-// anonymizers that satisfy the structural contract with their own wording.
-func isTooFewRecords(err error) bool {
-	if errors.Is(err, dataset.ErrTooFewRecords) {
-		return true
-	}
-	s := err.Error()
-	return strings.Contains(s, "fewer records") || strings.Contains(s, "cannot be")
-}
-
 // EndsSweep reports whether err is the legitimate "k exceeds the table"
-// condition that ends a level sweep early rather than failing it — the same
-// predicate Sweep and SweepParallel apply internally, exported for callers
-// that stitch sweeps together chunk by chunk.
-func EndsSweep(err error) bool { return err != nil && isTooFewRecords(err) }
+// condition — dataset.ErrTooFewRecords, which every in-tree anonymizer
+// wraps — that ends a level sweep early above its first level rather than
+// failing it.
+func EndsSweep(err error) bool { return errors.Is(err, dataset.ErrTooFewRecords) }

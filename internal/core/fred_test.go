@@ -98,7 +98,7 @@ func TestAttackRowMismatch(t *testing.T) {
 func TestSweepSeriesShapes(t *testing.T) {
 	p, q := universityFixture(t, 40)
 	atk := AttackConfig{Aux: q, SensitiveRange: salaryRange()}
-	levels, err := Sweep(p, microagg.New(), atk, 2, 16)
+	levels, err := Sweep(p, microagg.New(), atk, 2, 16, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -157,17 +157,17 @@ func TestSweepSeriesShapes(t *testing.T) {
 
 func TestSweepValidation(t *testing.T) {
 	p, _ := universityFixture(t, 10)
-	if _, err := Sweep(p, nil, AttackConfig{SensitiveRange: salaryRange()}, 2, 4); err == nil {
+	if _, err := Sweep(p, nil, AttackConfig{SensitiveRange: salaryRange()}, 2, 4, 1); err == nil {
 		t.Error("nil anonymizer accepted")
 	}
-	if _, err := Sweep(p, microagg.New(), AttackConfig{SensitiveRange: salaryRange()}, 1, 4); err == nil {
+	if _, err := Sweep(p, microagg.New(), AttackConfig{SensitiveRange: salaryRange()}, 1, 4, 1); err == nil {
 		t.Error("minK=1 accepted")
 	}
-	if _, err := Sweep(p, microagg.New(), AttackConfig{SensitiveRange: salaryRange()}, 5, 4); err == nil {
+	if _, err := Sweep(p, microagg.New(), AttackConfig{SensitiveRange: salaryRange()}, 5, 4, 1); err == nil {
 		t.Error("inverted range accepted")
 	}
 	// Sweep beyond the table ends early instead of failing.
-	levels, err := Sweep(p, microagg.New(), AttackConfig{SensitiveRange: salaryRange()}, 2, 50)
+	levels, err := Sweep(p, microagg.New(), AttackConfig{SensitiveRange: salaryRange()}, 2, 50, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -179,12 +179,12 @@ func TestSweepValidation(t *testing.T) {
 func TestSweepParallelMatchesSequential(t *testing.T) {
 	p, q := universityFixture(t, 40)
 	atk := AttackConfig{Aux: q, SensitiveRange: salaryRange()}
-	seq, err := Sweep(p, microagg.New(), atk, 2, 12)
+	seq, err := Sweep(p, microagg.New(), atk, 2, 12, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
 	for _, workers := range []int{0, 1, 3, 8} {
-		par, err := SweepParallel(p, microagg.New(), atk, 2, 12, workers)
+		par, err := Sweep(p, microagg.New(), atk, 2, 12, workers)
 		if err != nil {
 			t.Fatalf("workers=%d: %v", workers, err)
 		}
@@ -204,17 +204,17 @@ func TestSweepParallelMatchesSequential(t *testing.T) {
 func TestSweepParallelEndsEarlyPastTable(t *testing.T) {
 	p, q := universityFixture(t, 10)
 	atk := AttackConfig{Aux: q, SensitiveRange: salaryRange()}
-	levels, err := SweepParallel(p, microagg.New(), atk, 2, 40, 4)
+	levels, err := Sweep(p, microagg.New(), atk, 2, 40, 4)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if len(levels) == 0 || levels[len(levels)-1].K > 10 {
 		t.Errorf("levels = %d, last K = %d", len(levels), levels[len(levels)-1].K)
 	}
-	if _, err := SweepParallel(p, nil, atk, 2, 4, 2); err == nil {
+	if _, err := Sweep(p, nil, atk, 2, 4, 2); err == nil {
 		t.Error("nil anonymizer accepted")
 	}
-	if _, err := SweepParallel(p, microagg.New(), atk, 1, 4, 2); err == nil {
+	if _, err := Sweep(p, microagg.New(), atk, 1, 4, 2); err == nil {
 		t.Error("minK=1 accepted")
 	}
 }
@@ -225,7 +225,7 @@ func TestRunFindsInteriorOptimum(t *testing.T) {
 	// derive them from a probe sweep the way the authors did "based on
 	// experimental observations".
 	atk := AttackConfig{Aux: q, SensitiveRange: salaryRange()}
-	probe, err := Sweep(p, microagg.New(), atk, 2, 16)
+	probe, err := Sweep(p, microagg.New(), atk, 2, 16, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -279,7 +279,7 @@ func TestRunFindsInteriorOptimum(t *testing.T) {
 func TestRunStopsAtUtilityThreshold(t *testing.T) {
 	p, q := universityFixture(t, 40)
 	atk := AttackConfig{Aux: q, SensitiveRange: salaryRange()}
-	probe, err := Sweep(p, microagg.New(), atk, 2, 10)
+	probe, err := Sweep(p, microagg.New(), atk, 2, 10, 1)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -2,6 +2,7 @@ package planner
 
 import (
 	"context"
+	"errors"
 	"testing"
 	"time"
 
@@ -38,7 +39,7 @@ func salaryRange() fusion.Range { return fusion.Range{Lo: 40000, Hi: 160000} }
 // comparison ground truth.
 func exhaustiveSeries(t *testing.T, p, q *dataset.Table, minK, maxK int) []core.LevelResult {
 	t.Helper()
-	series, err := core.Sweep(p, microagg.New(), core.AttackConfig{Aux: q, SensitiveRange: salaryRange()}, minK, maxK)
+	series, err := core.Sweep(p, microagg.New(), core.AttackConfig{Aux: q, SensitiveRange: salaryRange()}, minK, maxK, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -386,5 +387,44 @@ func TestExpandValidation(t *testing.T) {
 	}
 	if want := []int{2, 5, 8, 11}; len(ks) != 4 || ks[0] != 2 || ks[3] != 11 {
 		t.Fatalf("stride expansion = %v, want %v", ks, want)
+	}
+}
+
+// failAt is an anonymizer that fails level k with err and otherwise
+// delegates to MDAV.
+type failAt struct {
+	k   int
+	err error
+}
+
+func (f failAt) Name() string { return "fail-at" }
+
+func (f failAt) Anonymize(t *dataset.Table, k int) (*dataset.Table, error) {
+	if k == f.k {
+		return nil, f.err
+	}
+	return microagg.New().Anonymize(t, k)
+}
+
+// TestPlannerUnrelatedLevelErrorFails: a level error that is not
+// dataset.ErrTooFewRecords fails the run in every mode, whatever its text —
+// it never marks the level infeasible and truncates the series.
+func TestPlannerUnrelatedLevelErrorFails(t *testing.T) {
+	p, q := universityFixture(t, 40)
+	atk := core.AttackConfig{Aux: q, SensitiveRange: salaryRange()}
+	boom := errors.New("column cannot be generalized")
+	ks, _ := Expand(2, 8, 1, nil)
+	for _, workers := range []int{1, 4} {
+		for name, cfg := range map[string]Config{
+			"walk":   {Levels: ks},
+			"bisect": {Levels: ks, Tp: 1},
+		} {
+			cfg.Anonymizer = failAt{k: 4, err: boom}
+			cfg.Attack = atk
+			cfg.Workers = workers
+			if _, err := Run(context.Background(), p, cfg); !errors.Is(err, boom) {
+				t.Errorf("%s workers=%d: err = %v, want the level error", name, workers, err)
+			}
+		}
 	}
 }

@@ -62,6 +62,8 @@ type StreamConfig struct {
 //   - Early stop: a level above MinK failing with the "k exceeds the table"
 //     condition (EndsSweep) ends the series cleanly — emit never sees it and
 //     SweepStream returns nil. The same condition at MinK is an error.
+//     Levels above the table's row count, which no anonymizer can reach,
+//     are never attempted, however large MaxK is.
 //   - Any other level error aborts the sweep with "core: level k=%d: …",
 //     after all lower levels were emitted.
 //   - emit returning ErrStopSweep ends the sweep without error; any other
@@ -84,9 +86,13 @@ func SweepStream(ctx context.Context, p *dataset.Table, cfg StreamConfig, emit f
 		ctx = context.Background()
 	}
 	// The evaluation list is the range minus the caller-held levels; all
-	// sizing, dispatch and reordering below runs over it.
-	evalKs := make([]int, 0, maxK-minK+1)
-	for k := minK; k <= maxK; k++ {
+	// sizing, dispatch and reordering below runs over it. No level above the
+	// table's row count can be anonymized, so the list stops there (MinK
+	// stays in it, to fail as the series' first level) and an oversized
+	// MaxK costs nothing.
+	hi := min(maxK, max(minK, p.NumRows()))
+	evalKs := make([]int, 0, hi-minK+1)
+	for k := minK; k <= hi; k++ {
 		if cfg.Held[k] {
 			continue
 		}
@@ -131,7 +137,7 @@ func SweepStream(ctx context.Context, p *dataset.Table, cfg StreamConfig, emit f
 			lr, err := sc.RunLevel(cfg.Anonymizer, k, cfg.Tp)
 			budget.Release()
 			if err != nil {
-				if k > minK && isTooFewRecords(err) {
+				if k > minK && EndsSweep(err) {
 					return nil
 				}
 				return fmt.Errorf("core: level k=%d: %w", k, err)
@@ -220,7 +226,7 @@ func SweepStream(ctx context.Context, p *dataset.Table, cfg StreamConfig, emit f
 		}
 		delete(pending, next)
 		if s.err != nil {
-			if next > minK && isTooFewRecords(s.err) {
+			if next > minK && EndsSweep(s.err) {
 				// The anonymizer legitimately outgrew the table: the series
 				// ends here rather than failing.
 				return nil

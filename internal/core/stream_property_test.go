@@ -25,7 +25,7 @@ func TestSweepStreamPropertyRandomized(t *testing.T) {
 	atk := AttackConfig{Aux: q, SensitiveRange: salaryRange()}
 
 	// The sequential baseline the paper's Algorithm 1 would compute.
-	seq, err := Sweep(p, microagg.New(), atk, minK, maxK)
+	seq, err := Sweep(p, microagg.New(), atk, minK, maxK, 1)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -4,8 +4,10 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"math"
 	"testing"
 
+	"repro/internal/dataset"
 	"repro/internal/microagg"
 )
 
@@ -15,7 +17,7 @@ import (
 func TestSweepStreamOrderedUnderParallelWorkers(t *testing.T) {
 	p, q := universityFixture(t, 40)
 	atk := AttackConfig{Aux: q, SensitiveRange: salaryRange()}
-	seq, err := Sweep(p, microagg.New(), atk, 2, 12)
+	seq, err := Sweep(p, microagg.New(), atk, 2, 12, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -177,7 +179,7 @@ func TestSweepStreamStopSentinel(t *testing.T) {
 func TestSweepStreamHeldPrefixResume(t *testing.T) {
 	p, q := universityFixture(t, 40)
 	atk := AttackConfig{Aux: q, SensitiveRange: salaryRange()}
-	full, err := Sweep(p, microagg.New(), atk, 2, 12)
+	full, err := Sweep(p, microagg.New(), atk, 2, 12, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -250,7 +252,7 @@ func TestSweepStreamHeldPrefixPastTableEndsCleanly(t *testing.T) {
 	}
 }
 
-// TestSweepStreamValidation mirrors the Sweep/SweepParallel contracts.
+// TestSweepStreamValidation mirrors the Sweep contracts.
 func TestSweepStreamValidation(t *testing.T) {
 	p, _ := universityFixture(t, 10)
 	noop := func(LevelResult) error { return nil }
@@ -265,12 +267,12 @@ func TestSweepStreamValidation(t *testing.T) {
 	}
 }
 
-// TestDecideMatchesRun: Decide over a streamed series reaches Run's exact
-// decision — same candidates, same H, same optimal level.
+// TestDecideMatchesRun: Decide over a full streamed series reaches Run's
+// exact decision — same candidates, same H, same optimal level.
 func TestDecideMatchesRun(t *testing.T) {
 	p, q := universityFixture(t, 40)
 	atk := AttackConfig{Aux: q, SensitiveRange: salaryRange()}
-	probe, err := Sweep(p, microagg.New(), atk, 2, 16)
+	probe, err := Sweep(p, microagg.New(), atk, 2, 16, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -282,16 +284,9 @@ func TestDecideMatchesRun(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	// Replay Run's loop on the probe series: truncate at the stopping rule,
-	// then Decide.
-	levels := probe
-	for i, lr := range levels {
-		if cfg.StopsAfter(lr) {
-			levels = levels[:i+1]
-			break
-		}
-	}
-	got, err := Decide(levels, cfg)
+	// Decide applies Run's stopping rule itself: the untruncated probe
+	// reaches Run's decision.
+	got, err := Decide(probe, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -302,5 +297,85 @@ func TestDecideMatchesRun(t *testing.T) {
 	if len(got.Candidates) != len(want.Candidates) || len(got.Levels) != len(want.Levels) {
 		t.Errorf("Decide: %d candidates over %d levels, Run: %d over %d",
 			len(got.Candidates), len(got.Levels), len(want.Candidates), len(want.Levels))
+	}
+}
+
+// TestSweepStreamOversizedMaxK: no level above the table's row count can be
+// anonymized, so an oversized MaxK sweeps exactly what MaxK = 40 sweeps on
+// a 10-row table — without sizing its level list by MaxK.
+func TestSweepStreamOversizedMaxK(t *testing.T) {
+	p, q := universityFixture(t, 10)
+	atk := AttackConfig{Aux: q, SensitiveRange: salaryRange()}
+	for _, workers := range []int{1, 4} {
+		want, err := Sweep(p, microagg.New(), atk, 2, 40, workers)
+		if err != nil {
+			t.Fatal(err)
+		}
+		got, err := Sweep(p, microagg.New(), atk, 2, math.MaxInt/2, workers)
+		if err != nil {
+			t.Fatalf("workers=%d: %v", workers, err)
+		}
+		if len(got) != len(want) {
+			t.Fatalf("workers=%d: %d levels, MaxK=40 gives %d", workers, len(got), len(want))
+		}
+		for i := range want {
+			if got[i].K != want[i].K ||
+				math.Float64bits(got[i].Before) != math.Float64bits(want[i].Before) ||
+				math.Float64bits(got[i].After) != math.Float64bits(want[i].After) ||
+				math.Float64bits(got[i].Utility) != math.Float64bits(want[i].Utility) {
+				t.Errorf("workers=%d level %d differs from the MaxK=40 series", workers, i)
+			}
+		}
+	}
+	// MinK past the table still fails as the series' first level.
+	if _, err := Sweep(p, microagg.New(), atk, 11, math.MaxInt/2, 1); !EndsSweep(err) {
+		t.Errorf("MinK past the table: err = %v, want the too-few-records failure", err)
+	}
+}
+
+// failAt is an anonymizer that fails level k with err and otherwise
+// delegates to MDAV.
+type failAt struct {
+	k   int
+	err error
+}
+
+func (f failAt) Name() string { return "fail-at" }
+
+func (f failAt) Anonymize(t *dataset.Table, k int) (*dataset.Table, error) {
+	if k == f.k {
+		return nil, f.err
+	}
+	return microagg.New().Anonymize(t, k)
+}
+
+// TestSweepStreamUnrelatedErrorFails: only dataset.ErrTooFewRecords ends a
+// sweep early. An unrelated level error whose text happens to read like
+// "k exceeds the table" fails the sweep instead of truncating it.
+func TestSweepStreamUnrelatedErrorFails(t *testing.T) {
+	p, q := universityFixture(t, 40)
+	atk := AttackConfig{Aux: q, SensitiveRange: salaryRange()}
+	boom := errors.New("column cannot be generalized")
+	for _, workers := range []int{1, 4} {
+		var ks []int
+		err := SweepStream(context.Background(), p, StreamConfig{
+			Anonymizer: failAt{k: 4, err: boom},
+			Attack:     atk,
+			MinK:       2,
+			MaxK:       8,
+			Workers:    workers,
+		}, func(lr LevelResult) error {
+			ks = append(ks, lr.K)
+			return nil
+		})
+		if !errors.Is(err, boom) {
+			t.Fatalf("workers=%d: err = %v, want the level error", workers, err)
+		}
+		if len(ks) != 2 || ks[1] != 3 {
+			t.Errorf("workers=%d: emitted %v before the failure, want [2 3]", workers, ks)
+		}
+	}
+	if EndsSweep(boom) || EndsSweep(nil) {
+		t.Error("EndsSweep must match dataset.ErrTooFewRecords only")
 	}
 }

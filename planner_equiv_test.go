@@ -5,12 +5,16 @@ package repro
 // thresholds and warm-start subsets, the planner's decision — optimal k,
 // Hmax, the H series and the released table — must be IEEE-754-bit-identical
 // to the exhaustive sweep's, and on monotone-utility series it must evaluate
-// at most ⌈log₂(K+1)⌉ probes plus the candidate band. The trials are seeded,
-// so a failure reproduces deterministically; runs in CI's planner job.
+// at most ⌈log₂(K+1)⌉ probes plus the candidate band. Algorithm 1's own
+// decision (core.Decide) over the planner's series must match core.Run bit
+// for bit, under the prose stopping rule through the bisection and under the
+// literal one through the walk. The trials are seeded, so a failure
+// reproduces deterministically; runs in CI's planner job.
 
 import (
 	"context"
 	"errors"
+	"fmt"
 	"math"
 	"math/rand"
 	"testing"
@@ -93,6 +97,28 @@ func TestPlannerEquivalenceProperty(t *testing.T) {
 				trial, scheme.name, n, tp, tu, len(held), err)
 		}
 
+		// Algorithm 1 over the same series: Decide's stopping rule rebuilds
+		// core.Run's exact prefix from whatever the bisection evaluated.
+		cfg := core.Config{Anonymizer: scheme.anon(), Attack: atk, Tp: tp, Tu: tu, MaxK: ks[len(ks)-1]}
+		runRes, runErr := core.Run(sc.P, cfg)
+		dec, decErr := core.Decide(append([]core.LevelResult(nil), out.Levels...), cfg)
+		sameFREDDecision(t, fmt.Sprintf("trial %d (%s n=%d tp=%g tu=%g): Decide over the planner", trial, scheme.name, n, tp, tu),
+			runRes, runErr, dec, decErr)
+		if trial == 0 {
+			// The literal loop hands the planner no thresholds, so it walks.
+			cfg.LiteralPaperLoop = true
+			walk, err := planner.Run(context.Background(), sc.P, planner.Config{
+				Anonymizer: scheme.anon(), Attack: atk, Levels: ks, Workers: workers,
+			})
+			if err != nil {
+				t.Fatalf("trial %d: literal walk: %v", trial, err)
+			}
+			runRes, runErr := core.Run(sc.P, cfg)
+			dec, decErr := core.Decide(walk.Levels, cfg)
+			sameFREDDecision(t, fmt.Sprintf("trial %d (%s n=%d tu=%g): literal loop over the walk", trial, scheme.name, n, tu),
+				runRes, runErr, dec, decErr)
+		}
+
 		wantSeries := append([]core.LevelResult(nil), series...)
 		want, wantErr := core.DecideWithin(wantSeries, tp, tu, metrics.DefaultHOptions())
 		got, gotErr := core.DecideWithin(out.Levels, tp, tu, metrics.DefaultHOptions())
@@ -142,6 +168,58 @@ func TestPlannerEquivalenceProperty(t *testing.T) {
 					trial, scheme.name, n, band, len(series), out.Evaluated, bound)
 			}
 		}
+	}
+}
+
+// sameFREDDecision fails unless got is bit-identical to the reference
+// FRED decision want: the same error class, the same levels (K, Before,
+// After, Utility bits) and candidates, and — when a level was chosen — the
+// same optimal k, Hmax, H series, thresholds and released table.
+func sameFREDDecision(t *testing.T, what string, want *core.Result, wantErr error, got *core.Result, gotErr error) {
+	t.Helper()
+	noCand := errors.Is(wantErr, core.ErrNoCandidate)
+	if noCand != errors.Is(gotErr, core.ErrNoCandidate) || (!noCand && (wantErr != nil || gotErr != nil)) {
+		t.Fatalf("%s: err %v, reference err %v", what, gotErr, wantErr)
+	}
+	if len(got.Levels) != len(want.Levels) {
+		t.Fatalf("%s: %d levels, reference %d", what, len(got.Levels), len(want.Levels))
+	}
+	for i, w := range want.Levels {
+		g := got.Levels[i]
+		if g.K != w.K || math.Float64bits(g.Before) != math.Float64bits(w.Before) ||
+			math.Float64bits(g.After) != math.Float64bits(w.After) ||
+			math.Float64bits(g.Utility) != math.Float64bits(w.Utility) {
+			t.Fatalf("%s: level %d (k=%d) differs from the reference's k=%d", what, i, g.K, w.K)
+		}
+	}
+	if len(got.Candidates) != len(want.Candidates) {
+		t.Fatalf("%s: candidates %v, reference %v", what, got.Candidates, want.Candidates)
+	}
+	for i := range want.Candidates {
+		if got.Candidates[i] != want.Candidates[i] {
+			t.Fatalf("%s: candidates %v, reference %v", what, got.Candidates, want.Candidates)
+		}
+	}
+	if noCand {
+		return
+	}
+	if got.OptimalK != want.OptimalK || math.Float64bits(got.Hmax) != math.Float64bits(want.Hmax) {
+		t.Fatalf("%s: k=%d H=%x, reference k=%d H=%x", what,
+			got.OptimalK, math.Float64bits(got.Hmax), want.OptimalK, math.Float64bits(want.Hmax))
+	}
+	if math.Float64bits(got.Tp) != math.Float64bits(want.Tp) || math.Float64bits(got.Tu) != math.Float64bits(want.Tu) {
+		t.Fatalf("%s: thresholds Tp=%v Tu=%v, reference Tp=%v Tu=%v", what, got.Tp, got.Tu, want.Tp, want.Tu)
+	}
+	if len(got.H) != len(want.H) {
+		t.Fatalf("%s: %d H values, reference %d", what, len(got.H), len(want.H))
+	}
+	for i := range want.H {
+		if math.Float64bits(got.H[i]) != math.Float64bits(want.H[i]) {
+			t.Fatalf("%s: H[%d] = %x, reference %x", what, i, math.Float64bits(got.H[i]), math.Float64bits(want.H[i]))
+		}
+	}
+	if !got.Optimal.Equal(want.Optimal) {
+		t.Fatalf("%s: released tables differ at k=%d", what, got.OptimalK)
 	}
 }
 

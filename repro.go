@@ -10,12 +10,13 @@
 // benchmarks share one construction path.
 //
 //	sc, _ := repro.UniversityScenario(repro.ScenarioOptions{Seed: 42, N: 40})
-//	levels, _ := sc.Sweep(2, 16, nil, nil)      // Figures 4–7 series
+//	levels, _ := sc.Sweep(2, 16, nil, nil, 0)   // Figures 4–7 series
 //	res, _ := sc.RunFRED(repro.FREDOptions{})   // Figure 8 + optimal k
 package repro
 
 import (
-	"context"
+	"fmt"
+	"sort"
 
 	"repro/internal/core"
 	"repro/internal/datagen"
@@ -206,45 +207,19 @@ func (s *Scenario) Attack(release *dataset.Table, est fusion.Estimator) (phat *d
 	return core.Attack(s.P, release, s.attack(est))
 }
 
-// Sweep evaluates levels minK..maxK (nil anonymizer → MDAV, nil estimator →
-// fuzzy): the series behind Figures 4–7.
-func (s *Scenario) Sweep(minK, maxK int, anon core.Anonymizer, est fusion.Estimator) ([]core.LevelResult, error) {
+// Sweep evaluates levels minK..maxK on workers concurrent workers (nil
+// anonymizer → MDAV, nil estimator → fuzzy, workers 0 → one per level): the
+// series behind Figures 4–7, bit-identical whatever the worker count.
+func (s *Scenario) Sweep(minK, maxK int, anon core.Anonymizer, est fusion.Estimator, workers int) ([]core.LevelResult, error) {
 	if anon == nil {
 		anon = microagg.New()
 	}
-	return core.Sweep(s.P, anon, s.attack(est), minK, maxK)
+	return core.Sweep(s.P, anon, s.attack(est), minK, maxK, workers)
 }
 
-// SweepParallel is Sweep with the levels evaluated concurrently; results are
-// identical to Sweep's. Workers bounds the concurrency (0 → one per level).
-func (s *Scenario) SweepParallel(minK, maxK int, anon core.Anonymizer, est fusion.Estimator, workers int) ([]core.LevelResult, error) {
-	if anon == nil {
-		anon = microagg.New()
-	}
-	return core.SweepParallel(s.P, anon, s.attack(est), minK, maxK, workers)
-}
-
-// SweepStream streams levels minK..maxK in ascending k order as they
-// complete on workers concurrent workers (0 → one per level), calling emit
-// for each — the incremental form of Sweep, for consumers that want results
-// before the sweep finishes. Cancelling ctx aborts the sweep; emit returning
-// core.ErrStopSweep ends it early without error.
-func (s *Scenario) SweepStream(ctx context.Context, minK, maxK int, anon core.Anonymizer, est fusion.Estimator, workers int, emit func(core.LevelResult) error) error {
-	if anon == nil {
-		anon = microagg.New()
-	}
-	return core.SweepStream(ctx, s.P, core.StreamConfig{
-		Anonymizer: anon,
-		Attack:     s.attack(est),
-		MinK:       minK,
-		MaxK:       maxK,
-		Workers:    workers,
-	}, emit)
-}
-
-// FREDOptions configures RunFRED. Zero values auto-calibrate thresholds the
-// way the paper did — "based on experimental observations" — via a probe
-// sweep (see CalibrateThresholds).
+// FREDOptions configures RunFRED. Zero thresholds auto-calibrate them the
+// way the paper did — "based on experimental observations" — from the
+// swept series (see CalibrateThresholds).
 type FREDOptions struct {
 	Anonymizer core.Anonymizer
 	Estimator  fusion.Estimator
@@ -255,37 +230,47 @@ type FREDOptions struct {
 	LiteralPaperLoop bool
 }
 
-// RunFRED executes Algorithm 1 on the scenario.
+// RunFRED executes Algorithm 1 on the scenario (MaxK 0 → 16). Explicit
+// thresholds run core.Run. Auto-calibration sweeps k = 2..MaxK once,
+// calibrates on that series and decides over its levels from MinK up,
+// which hold everything core.Run would sweep; the result records the
+// calibrated thresholds.
 func (s *Scenario) RunFRED(opts FREDOptions) (*core.Result, error) {
-	anon := opts.Anonymizer
-	if anon == nil {
-		anon = microagg.New()
-	}
-	maxK := opts.MaxK
-	if maxK == 0 {
-		maxK = 16
-	}
-	tp, tu := opts.Tp, opts.Tu
-	if tp == 0 && tu == 0 {
-		probe, err := s.Sweep(2, maxK, anon, opts.Estimator)
-		if err != nil {
-			return nil, err
-		}
-		tp, tu, err = CalibrateThresholds(probe)
-		if err != nil {
-			return nil, err
-		}
-	}
-	return core.Run(s.P, core.Config{
-		Anonymizer:       anon,
+	cfg := core.Config{
+		Anonymizer:       opts.Anonymizer,
 		Attack:           s.attack(opts.Estimator),
-		Tp:               tp,
-		Tu:               tu,
+		Tp:               opts.Tp,
+		Tu:               opts.Tu,
 		HOpts:            opts.HOpts,
 		MinK:             opts.MinK,
-		MaxK:             maxK,
+		MaxK:             opts.MaxK,
 		LiteralPaperLoop: opts.LiteralPaperLoop,
-	})
+	}
+	if cfg.Anonymizer == nil {
+		cfg.Anonymizer = microagg.New()
+	}
+	if cfg.MaxK == 0 {
+		cfg.MaxK = 16
+	}
+	if cfg.Tp != 0 || cfg.Tu != 0 {
+		return core.Run(s.P, cfg)
+	}
+	minK, maxK, err := cfg.KRange(s.P.NumRows())
+	if err != nil {
+		return nil, err
+	}
+	levels, err := core.Sweep(s.P, cfg.Anonymizer, cfg.Attack, 2, maxK, 1)
+	if err != nil {
+		return nil, err
+	}
+	if cfg.Tp, cfg.Tu, err = CalibrateThresholds(levels); err != nil {
+		return nil, err
+	}
+	i := sort.Search(len(levels), func(i int) bool { return levels[i].K >= minK })
+	if i == len(levels) {
+		return nil, fmt.Errorf("repro: MinK %d exceeds the table: %w", minK, dataset.ErrTooFewRecords)
+	}
+	return core.Decide(levels[i:], cfg)
 }
 
 // Assess attacks a release and reports record-level disclosure risk: the

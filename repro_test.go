@@ -1,8 +1,11 @@
 package repro
 
 import (
+	"fmt"
+	"sync"
 	"testing"
 
+	"repro/internal/core"
 	"repro/internal/dataset"
 	"repro/internal/diversity"
 	"repro/internal/fusion"
@@ -254,5 +257,96 @@ func TestDiversityGuardsDoNotStopFusion(t *testing.T) {
 	}
 	if after >= before {
 		t.Errorf("fusion gained nothing on a diverse release: %g ≥ %g", after, before)
+	}
+}
+
+// runFREDOracle is RunFRED's auto-calibration as a probe sweep followed by
+// core.Run re-evaluating the levels — the reference the single-sweep
+// RunFRED must match bit for bit.
+func runFREDOracle(sc *Scenario, opts FREDOptions) (*core.Result, error) {
+	anon := opts.Anonymizer
+	if anon == nil {
+		anon = microagg.New()
+	}
+	maxK := opts.MaxK
+	if maxK == 0 {
+		maxK = 16
+	}
+	probe, err := sc.Sweep(2, maxK, anon, opts.Estimator, 1)
+	if err != nil {
+		return nil, err
+	}
+	tp, tu, err := CalibrateThresholds(probe)
+	if err != nil {
+		return nil, err
+	}
+	return core.Run(sc.P, core.Config{
+		Anonymizer:       anon,
+		Attack:           sc.attack(opts.Estimator),
+		Tp:               tp,
+		Tu:               tu,
+		HOpts:            opts.HOpts,
+		MinK:             opts.MinK,
+		MaxK:             maxK,
+		LiteralPaperLoop: opts.LiteralPaperLoop,
+	})
+}
+
+func TestRunFREDMatchesProbeThenRun(t *testing.T) {
+	sc, err := UniversityScenario(ScenarioOptions{Seed: 42})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, minK := range []int{0, 4} {
+		for _, literal := range []bool{false, true} {
+			opts := FREDOptions{MinK: minK, LiteralPaperLoop: literal}
+			want, wantErr := runFREDOracle(sc, opts)
+			got, gotErr := sc.RunFRED(opts)
+			sameFREDDecision(t, fmt.Sprintf("MinK=%d literal=%v", minK, literal), want, wantErr, got, gotErr)
+		}
+	}
+	// Run's range validation still applies.
+	if _, err := sc.RunFRED(FREDOptions{MinK: 1}); err == nil {
+		t.Error("MinK=1 accepted")
+	}
+	if _, err := sc.RunFRED(FREDOptions{MinK: 20}); err == nil {
+		t.Error("MinK above the default MaxK accepted")
+	}
+}
+
+// countingAnonymizer counts Anonymize calls per level.
+type countingAnonymizer struct {
+	core.Anonymizer
+	mu    sync.Mutex
+	calls map[int]int
+}
+
+func (c *countingAnonymizer) Anonymize(t *dataset.Table, k int) (*dataset.Table, error) {
+	c.mu.Lock()
+	c.calls[k]++
+	c.mu.Unlock()
+	return c.Anonymizer.Anonymize(t, k)
+}
+
+// TestRunFREDSweepsOnce: auto-calibration anonymizes each level once — the
+// calibration series is also the series Algorithm 1 decides over.
+func TestRunFREDSweepsOnce(t *testing.T) {
+	sc, err := UniversityScenario(ScenarioOptions{Seed: 42})
+	if err != nil {
+		t.Fatal(err)
+	}
+	anon := &countingAnonymizer{Anonymizer: microagg.New(), calls: map[int]int{}}
+	if _, err := sc.RunFRED(FREDOptions{Anonymizer: anon, MaxK: 16}); err != nil {
+		t.Fatal(err)
+	}
+	total := 0
+	for k, n := range anon.calls {
+		if n != 1 {
+			t.Errorf("k=%d anonymized %d times", k, n)
+		}
+		total += n
+	}
+	if total != 15 {
+		t.Errorf("%d Anonymize calls, want 15 (k = 2..16 once each)", total)
 	}
 }
