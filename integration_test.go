@@ -1,15 +1,14 @@
 package repro
 
 // Cross-module integration tests: CSV round-trips through the attack
-// pipeline, sequential-release composition on real anonymizers, the
-// perturbation family inside the FRED sweep, and parser robustness.
+// pipeline, the perturbation family inside the FRED sweep, and parser
+// robustness.
 
 import (
 	"bytes"
 	"testing"
 	"testing/quick"
 
-	"repro/internal/composition"
 	"repro/internal/core"
 	"repro/internal/dataset"
 	"repro/internal/fuzzy"
@@ -60,45 +59,8 @@ func TestPipelineSurvivesCSVRoundTrip(t *testing.T) {
 	}
 }
 
-// TestCompositionSharpensUniversityReleases mounts the sequential-release
-// attack on two real releases of the same cohort and confirms the
-// intersection never widens and the fused estimate never worsens.
-func TestCompositionSharpensUniversityReleases(t *testing.T) {
-	sc, err := UniversityScenario(ScenarioOptions{Seed: 42})
-	if err != nil {
-		t.Fatal(err)
-	}
-	r1, r2 := intervalRelease(t, sc.P, 4), intervalRelease(t, sc.P, 6)
-	merged, err := composition.Intersect(r1, r2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	ratio, err := composition.Narrowing(merged, r1, r2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if ratio > 1+1e-12 {
-		t.Errorf("composition widened cells: %g", ratio)
-	}
-	// Attack the merged release: at least as close as the wider of the two.
-	_, _, afterMerged, err := sc.Attack(merged, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	_, _, after2, err := sc.Attack(r2, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Allow a small slack: the fuzzy system is not perfectly monotone in
-	// input tightness, but the merged release must not be substantially
-	// worse for the adversary than the coarser single release.
-	if afterMerged > after2*1.05 {
-		t.Errorf("merged release attack (%g) much worse than single release (%g)", afterMerged, after2)
-	}
-}
-
 // intervalRelease produces an interval-cell microaggregated release with the
-// sensitive column suppressed (composition and NCP need bounded cells).
+// sensitive column suppressed (NCP needs bounded cells).
 func intervalRelease(t *testing.T, p *dataset.Table, k int) *dataset.Table {
 	t.Helper()
 	a := &microagg.Anonymizer{Opts: microagg.Options{Standardize: true, CentroidAsInterval: true}}

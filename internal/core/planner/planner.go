@@ -207,11 +207,14 @@ type runState struct {
 	// seeds are the requested Held levels not adopted yet, ascending.
 	seeds []int
 
-	// infeasibleFrom is the lowest probed k the anonymizer rejected with
-	// the "k exceeds the table" condition; feasibility is monotone in k, so
-	// everything at or above it is infeasible. infeasibleErr keeps the
-	// original error for the case where even the lowest requested level is
-	// infeasible, which must fail exactly like the exhaustive sweep.
+	// infeasibleFrom is the lowest k known to hit the "k exceeds the
+	// table" condition. It starts at rows+1, since both schemes reject
+	// exactly k > rows, so no walk is sized by a level past the table; a
+	// probe the anonymizer rejects with the condition lowers it.
+	// Feasibility is monotone in k, so everything at or above it is
+	// infeasible. infeasibleErr keeps the error for the case where even the
+	// lowest requested level is infeasible, which must fail exactly like
+	// the exhaustive sweep.
 	infeasibleFrom int
 	infeasibleErr  error
 
@@ -349,7 +352,8 @@ func Run(ctx context.Context, p *dataset.Table, cfg Config) (*Outcome, error) {
 		ks:             cfg.Levels,
 		req:            make(map[int]bool, len(cfg.Levels)),
 		known:          make(map[int]core.LevelResult, len(cfg.Levels)),
-		infeasibleFrom: 1 << 62,
+		infeasibleFrom: p.NumRows() + 1,
+		infeasibleErr:  fmt.Errorf("table has %d rows: %w", p.NumRows(), dataset.ErrTooFewRecords),
 		minDecide:      1,
 	}
 	if !explicit {

@@ -3,6 +3,7 @@ package planner
 import (
 	"context"
 	"errors"
+	"runtime"
 	"testing"
 	"time"
 
@@ -368,6 +369,39 @@ func TestPlannerInfeasibleTail(t *testing.T) {
 		Anonymizer: microagg.New(), Attack: atk, Levels: []int{15, 18}, Tp: tp, Tu: tu,
 	}); err == nil {
 		t.Fatal("bisect over an infeasible set must error, as the exhaustive sweep does")
+	}
+}
+
+// TestPlannerOversizedLevelIsNotWalked: a requested level far above the
+// table is infeasible without a probe, so the walk's bookkeeping is sized
+// by the table rather than by that level, and a set starting above the
+// table fails with the typed "too few records" error.
+func TestPlannerOversizedLevelIsNotWalked(t *testing.T) {
+	p, q := universityFixture(t, 10)
+	atk := core.AttackConfig{Aux: q, SensitiveRange: salaryRange()}
+	const huge = 1 << 22
+	var before, after runtime.MemStats
+	runtime.GC()
+	runtime.ReadMemStats(&before)
+	out, err := Run(context.Background(), p, Config{Anonymizer: microagg.New(), Attack: atk, Levels: []int{2, 3, huge}})
+	runtime.ReadMemStats(&after)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(out.Levels) != 2 || out.Levels[0].K != 2 || out.Levels[1].K != 3 {
+		t.Fatalf("levels %+v, want k=2 and k=3", out.Levels)
+	}
+	if want := (SkipRange{FromK: huge, ToK: huge, N: 1, Reason: SkipInfeasible}); out.Infeasible != 1 ||
+		len(out.SkippedRanges) != 1 || out.SkippedRanges[0] != want {
+		t.Fatalf("infeasible=%d skips %+v, want one %+v", out.Infeasible, out.SkippedRanges, want)
+	}
+	if alloc := after.TotalAlloc - before.TotalAlloc; alloc > 16<<20 {
+		t.Fatalf("Run allocated %d MB for a 10-row table", alloc>>20)
+	}
+	if _, err := Run(context.Background(), p, Config{
+		Anonymizer: microagg.New(), Attack: atk, Levels: []int{11, huge},
+	}); !errors.Is(err, dataset.ErrTooFewRecords) {
+		t.Fatalf("set starting above the table: err = %v, want dataset.ErrTooFewRecords", err)
 	}
 }
 

@@ -143,8 +143,9 @@ type JobBackend interface {
 	// ReplayWAL calls fn for every persisted record in append order. A
 	// torn final record (crash mid-append) ends the replay cleanly.
 	ReplayWAL(fn func(WALRecord) error) error
-	// CompactWAL atomically replaces the log with recs — recovery rewrites
-	// the live image so the log does not grow across restarts.
+	// CompactWAL atomically replaces the log with recs — Engine.CompactLog
+	// rewrites the live image, at boot and online, so the log does not grow
+	// without bound.
 	CompactWAL(recs []*WALRecord) error
 	// SyncWAL flushes appended records to stable storage.
 	SyncWAL() error

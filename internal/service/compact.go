@@ -5,22 +5,25 @@ import (
 	"sort"
 )
 
-// This file implements online WAL compaction: CompactLog rewrites the
-// durable job log down to its live image while the engine is serving, so a
-// long-lived process does not depend on restarts (Engine.Recover) to shrink
-// its log. The write path already serializes every append through walMu;
-// CompactLog holds the same mutex for the whole rewrite, so the compacted
-// image plus subsequent appends is exactly the record sequence a restart
-// would have produced.
+// This file implements WAL compaction: CompactLog rewrites the durable job
+// log down to its live image. It is the only writer of that image — the
+// served -wal-compact ticker calls it while the engine is serving, so a
+// long-lived process does not depend on restarts to shrink its log, and
+// Engine.Recover calls it once the replayed log is folded into jobs — so
+// boot-time and online compaction cannot diverge. The write path serializes
+// every append through walMu; CompactLog holds the same mutex for the whole
+// rewrite, so the compacted image plus subsequent appends is exactly the
+// record sequence a restart would have produced.
 
 // CompactLog rewrites the job log to the live image of the engine's current
-// state: for every job still in the log, its submission record, retained
-// level checkpoints (with their original sequence numbers, so resume cursors
-// survive), a journaled-but-unfinished cancellation if any, and the terminal
-// status + result projection. Jobs deleted or evicted from the log simply do
-// not appear. Appends are blocked for the duration; level checkpoints (the
-// only high-frequency appends) block on walMu anyway, so this adds latency,
-// not a new failure mode.
+// state: a high-water marker (omitted while both counters are zero, so a
+// first boot's log stays empty), then for every job still in the log its
+// submission record, retained level checkpoints (with their original
+// sequence numbers, so resume cursors survive), a journaled-but-unfinished
+// cancellation if any, and the terminal status + result projection. Jobs
+// deleted or evicted from the log simply do not appear. Appends are blocked
+// for the duration; level checkpoints (the only high-frequency appends)
+// block on walMu anyway, so this adds latency, not a new failure mode.
 func (e *Engine) CompactLog() error {
 	e.walMu.Lock()
 	defer e.walMu.Unlock()
@@ -34,7 +37,12 @@ func (e *Engine) CompactLog() error {
 	e.mu.RUnlock()
 	sort.Slice(jobs, func(i, k int) bool { return jobs[i].seq < jobs[k].seq })
 
-	live := []*WALRecord{{Seq: e.eventSeq, Kind: WALMark, JobSeq: maxJobSeq}}
+	var live []*WALRecord
+	if e.eventSeq > 0 || maxJobSeq > 0 {
+		// The marker keeps the counters from regressing even when every job
+		// below was deleted or compacted away.
+		live = append(live, &WALRecord{Seq: e.eventSeq, Kind: WALMark, JobSeq: maxJobSeq})
+	}
 	for _, j := range jobs {
 		live = append(live, j.walImage()...)
 	}
@@ -47,8 +55,9 @@ func (e *Engine) CompactLog() error {
 // walImage renders one job's live WAL records, in the same kind order the
 // original appends used (job, levels, cancel, status). Sequence numbers of
 // level and status records are the original durable ones — they are the
-// resume cursors subscribers hold. Events without a durable seq (failed
-// appends, skips) are not re-journaled, matching what recovery would keep.
+// resume cursors subscribers hold. Only the retained event tail of a
+// truncated job is written; events without a durable seq (failed appends,
+// skips) are not re-journaled.
 func (j *job) walImage() []*WALRecord {
 	j.mu.Lock()
 	defer j.mu.Unlock()
@@ -83,13 +92,15 @@ func (j *job) walImage() []*WALRecord {
 	return out
 }
 
-// firstSeqLocked reconstructs a plausible sequence number for the job's
-// submission record, strictly below its first retained checkpoint and
-// terminal record — the compacted-log counterpart of recovery's firstSeqOf.
-// Callers hold j.mu.
+// firstSeqLocked reconstructs a sequence number for the job's submission
+// record, strictly below its first retained checkpoint and terminal record.
+// For a truncated job it is droppedSeq, the highest truncated seq, which
+// recovery reads back from the job record so cursors behind the tail behave
+// as they did live. Otherwise the exact value is insignificant: cursors only
+// ever name level and status records. Callers hold j.mu.
 func (j *job) firstSeqLocked() uint64 {
 	if j.droppedSeq > 0 {
-		return j.droppedSeq // truncated prefix: anything below the tail works
+		return j.droppedSeq
 	}
 	for i := range j.events {
 		if j.events[i].Seq > 0 {

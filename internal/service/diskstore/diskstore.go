@@ -765,8 +765,8 @@ func (s *Store) replaySegment(path string, last bool, fn func(service.WALRecord)
 	}
 }
 
-// CompactWAL rewrites the WAL to recs — the live image Engine.Recover or
-// Engine.CompactLog computes. The image lands in a FRESH marker-led segment
+// CompactWAL rewrites the WAL to recs — the live image Engine.CompactLog
+// computes, online or at the end of Engine.Recover. The image lands in a FRESH marker-led segment
 // (tmp + fsync + rename, so a crash leaves either the old segments or the
 // complete new one), the append handle moves onto it, and every older
 // segment is unlinked. A crash between the rename and the unlinks is safe:

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"fmt"
 	"math"
 	"os"
 	"path/filepath"
@@ -631,6 +632,147 @@ func TestRecoverKeepsCursorsAcrossSecondRestartDisk(t *testing.T) {
 	if len(got) != 1 || got[0].Type != service.EventStatus {
 		t.Fatalf("resume after second restart delivered %d events (%+v), want only the terminal status", len(got), got)
 	}
+}
+
+// TestRecoverCompactionFixedPointDisk: boot-time compaction writes exactly
+// the image online compaction writes for the same state, so CompactLog
+// right after Recover rewrites the log byte for byte — with every event
+// retained and with a truncated event tail.
+func TestRecoverCompactionFixedPointDisk(t *testing.T) {
+	for _, keep := range []int{0, 3} { // 0 = the default retention bound
+		t.Run(fmt.Sprintf("MaxJobEvents=%d", keep), func(t *testing.T) {
+			dir, _, _, _ := runUninterrupted(t)
+			_, _, engine := openPlane(t, dir, service.Options{Workers: 1, MaxJobEvents: keep})
+			if _, err := engine.Recover(); err != nil {
+				t.Fatal(err)
+			}
+			booted := replayImage(t, copyDir(t, dir))
+			if err := engine.CompactLog(); err != nil {
+				t.Fatal(err)
+			}
+			sameImage(t, replayImage(t, copyDir(t, dir)), booted, "CompactLog after Recover")
+		})
+	}
+}
+
+// cursorFeeds renders, for every cursor 0..last, the events
+// StreamAfter(cursor) delivers for a terminal job: kind, k and seq each.
+func cursorFeeds(t *testing.T, e *service.Engine, jobID string, last uint64) []string {
+	t.Helper()
+	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
+	defer cancel()
+	feeds := make([]string, 0, last+1)
+	for after := uint64(0); after <= last; after++ {
+		ch, err := e.StreamAfter(ctx, service.DefaultTenant, jobID, after)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var feed strings.Builder
+		for ev := range ch {
+			k := 0
+			if ev.Level != nil {
+				k = ev.Level.K
+			}
+			fmt.Fprintf(&feed, "%s/k%d/s%d ", ev.Type, k, ev.Seq)
+		}
+		feeds = append(feeds, feed.String())
+	}
+	return feeds
+}
+
+// TestRecoverCursorEquivalenceDisk: a terminal sweep whose event feed was
+// truncated to a 3-event tail, with another job's record sequenced between
+// its last truncated and first retained level, answers every resume cursor
+// exactly as it did live — after a restart that compacts at boot, after a
+// second restart that reads that boot-compacted image, and after an online
+// CompactLog plus restart.
+func TestRecoverCursorEquivalenceDisk(t *testing.T) {
+	const keep = 3
+	dir, jobID, want, _ := runUninterrupted(t)
+	// Crash image: the sweep's submission and first 6 of 9 checkpoints
+	// (seqs 1..7), then an anonymize submission at seq 8. The resumed sweep
+	// computes its last 3 levels after it, and those are the retained tail.
+	truncateWAL(t, dir, jobID, len(want.Levels)-keep)
+	ds, err := diskstore.Open(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	store := service.NewStoreWith(ds)
+	if err := store.Open(); err != nil {
+		t.Fatal(err)
+	}
+	created := time.Now()
+	anon := service.Spec{Type: service.JobAnonymize, Table: store.List(service.DefaultTenant)[0].ID, K: 2}
+	if err := ds.AppendWAL(&service.WALRecord{
+		Seq: 8, Kind: service.WALJob, JobID: "job-2", JobSeq: 2,
+		Tenant: service.DefaultTenant, Spec: &anon, Created: &created,
+	}); err != nil {
+		t.Fatal(err)
+	}
+	if err := ds.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	// One worker: the resumed sweep finishes before the anonymize job runs,
+	// so its sequence numbers are fixed.
+	opts := service.Options{Workers: 1, SweepWorkers: 2, MaxJobEvents: keep}
+	ds, _, engine := openPlane(t, dir, opts)
+	if _, err := engine.Recover(); err != nil {
+		t.Fatal(err)
+	}
+	engine.Start()
+	waitDone(t, engine, jobID)
+	waitDone(t, engine, "job-2")
+	const termSeq = 12 // levels 9..11 follow the anonymize submission
+	live := cursorFeeds(t, engine, jobID, termSeq)
+	if !strings.HasPrefix(live[0], "level/k2/s0 ") || !strings.HasSuffix(live[termSeq], fmt.Sprintf("status/k0/s%d ", termSeq)) {
+		t.Fatalf("live feeds do not have the expected shape: after 0: %q, after %d: %q", live[0], termSeq, live[termSeq])
+	}
+	if live[7] == live[6] {
+		t.Fatalf("cursors 6 and 7 share one feed %q: the truncation point is not at seq 7", live[7])
+	}
+
+	sameFeeds := func(got []string, what string) {
+		t.Helper()
+		for after := range live {
+			if got[after] != live[after] {
+				t.Fatalf("%s: StreamAfter(%d) delivered %q, live %q", what, after, got[after], live[after])
+			}
+		}
+	}
+	restart := func(dir string) (*diskstore.Store, *service.Engine) {
+		t.Helper()
+		ds, _, e := openPlane(t, dir, opts)
+		if _, err := e.Recover(); err != nil {
+			t.Fatal(err)
+		}
+		return ds, e
+	}
+	closePlane := func(ds *diskstore.Store, e *service.Engine) {
+		t.Helper()
+		ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
+		defer cancel()
+		if err := e.Shutdown(ctx); err != nil {
+			t.Fatal(err)
+		}
+		if err := ds.Close(); err != nil {
+			t.Fatal(err)
+		}
+	}
+
+	image := copyDir(t, dir)
+	ds1, e1 := restart(image)
+	sameFeeds(cursorFeeds(t, e1, jobID, termSeq), "boot-compacted restart")
+	closePlane(ds1, e1)
+	_, e2 := restart(image)
+	sameFeeds(cursorFeeds(t, e2, jobID, termSeq), "restart on the boot-compacted image")
+
+	if err := engine.CompactLog(); err != nil {
+		t.Fatal(err)
+	}
+	closePlane(ds, engine)
+	_, e3 := restart(dir)
+	sameFeeds(cursorFeeds(t, e3, jobID, termSeq), "online CompactLog plus restart")
 }
 
 // TestRecoverNeverReissuesDeletedJobIDsDisk: the compaction high-water

@@ -9,13 +9,14 @@ import (
 	"repro/internal/dataset"
 )
 
-// This file implements crash recovery: Engine.Recover replays the durable
-// job log after Store.Open reloaded the tables, rebuilds terminal jobs
-// (results included, via the table backend's blob space), re-submits
-// interrupted jobs — fred-sweeps seeded with their checkpointed levels, which
-// the planner adopts as Held seeds, so they continue instead of restarting —
-// and compacts the log to the live image. It also hosts the table TTL sweep,
-// which consults the live-job set recovery re-established.
+// This file implements crash recovery: Engine.Recover folds the durable job
+// log into jobs after Store.Open reloaded the tables, finishes terminal jobs
+// (results included, via the table backend's blob space), compacts the log
+// through CompactLog — the one writer of the live image, shared with online
+// compaction — and re-submits interrupted jobs: fred-sweeps seeded with
+// their checkpointed levels, which the planner adopts as Held seeds, so they
+// continue instead of restarting. It also hosts the table TTL sweep, which
+// consults the live-job set recovery re-established.
 
 // RecoveredJob describes one job Engine.Recover restored or re-submitted.
 type RecoveredJob struct {
@@ -26,32 +27,15 @@ type RecoveredJob struct {
 	Resumed bool
 }
 
-// replayedJob accumulates one job's WAL records during replay.
-type replayedJob struct {
-	id      string
-	seq     int
-	tenant  string
-	spec    Spec
-	created time.Time
-	deleted bool
-
-	levels    []WALRecord // kind "level", in append order
-	status    *Status
-	statusSeq uint64
-	result    *ResultRecord
-	canceled  bool
-	cancelSeq uint64
-}
-
 // Recover rebuilds the engine from the job log. It must run after
 // Store.Open and before Start and the first Submit: recovered jobs reclaim
 // their original IDs, and re-submitted jobs are placed on the (not yet
-// consumed) queue. The log is compacted to the live image afterwards, so it
-// does not grow across restarts. The returned slice describes every
-// recovered job, re-submitted ones first marked Resumed.
+// consumed) queue. The log is compacted to the live image before any job is
+// re-submitted, so it does not grow across restarts. The returned slice
+// describes every recovered job in submission order, re-submitted ones
+// marked Resumed.
 func (e *Engine) Recover() ([]RecoveredJob, error) {
-	byID := make(map[string]*replayedJob)
-	var order []string
+	byID := make(map[string]*job)
 	var maxSeq uint64
 	var maxJobSeq int
 	err := e.opts.JobLog.ReplayWAL(func(rec WALRecord) error {
@@ -62,54 +46,25 @@ func (e *Engine) Recover() ([]RecoveredJob, error) {
 			return fmt.Errorf("record %d has spec version %d, this build understands ≤ %d",
 				rec.Seq, rec.Ver, walSpecVersion)
 		}
-		if rec.Seq > maxSeq {
-			maxSeq = rec.Seq
-		}
-		if rec.Kind == WALMark {
+		maxSeq = max(maxSeq, rec.Seq)
+		switch rec.Kind {
+		case WALMark:
 			// Compaction high-water marker: restore the counters even though
 			// the records that produced them are gone.
-			if rec.JobSeq > maxJobSeq {
-				maxJobSeq = rec.JobSeq
-			}
-			return nil
-		}
-		rj := byID[rec.JobID]
-		if rj == nil {
-			rj = &replayedJob{id: rec.JobID}
-			byID[rec.JobID] = rj
-			order = append(order, rec.JobID)
-		}
-		switch rec.Kind {
+			maxJobSeq = max(maxJobSeq, rec.JobSeq)
 		case WALJob:
-			if rec.Spec != nil {
-				rj.spec = *rec.Spec
+			maxJobSeq = max(maxJobSeq, rec.JobSeq)
+			if rec.Spec != nil && rec.Spec.Type != "" {
+				byID[rec.JobID] = replayedSubmission(rec)
 			}
-			rj.seq = rec.JobSeq
-			// The default-tenant migration: job records written before
-			// multi-tenancy carry no tenant and are adopted into
-			// DefaultTenant, matching Store.Open's adoption of untagged
-			// table metadata.
-			rj.tenant = rec.Tenant
-			if rj.tenant == "" {
-				rj.tenant = DefaultTenant
-			}
-			if rec.Created != nil {
-				rj.created = *rec.Created
-			}
-			if rec.JobSeq > maxJobSeq {
-				maxJobSeq = rec.JobSeq
-			}
-		case WALLevel:
-			rj.levels = append(rj.levels, rec)
-		case WALStatus:
-			rj.status = rec.Status
-			rj.statusSeq = rec.Seq
-			rj.result = rec.Result
-		case WALCancel:
-			rj.canceled = true
-			rj.cancelSeq = rec.Seq
 		case WALDelete:
-			rj.deleted = true
+			delete(byID, rec.JobID)
+		default:
+			// A record without its submission (e.g. the job record itself
+			// was the torn final line, or the job was deleted) is dropped.
+			if j := byID[rec.JobID]; j != nil {
+				j.replay(rec)
+			}
 		}
 		return nil
 	})
@@ -117,6 +72,11 @@ func (e *Engine) Recover() ([]RecoveredJob, error) {
 		return nil, fmt.Errorf("service: replay job log: %w", err)
 	}
 
+	jobs := make([]*job, 0, len(byID))
+	for _, j := range byID {
+		jobs = append(jobs, j)
+	}
+	sort.Slice(jobs, func(i, k int) bool { return jobs[i].seq < jobs[k].seq })
 	e.mu.Lock()
 	e.seq = maxJobSeq
 	e.mu.Unlock()
@@ -124,104 +84,120 @@ func (e *Engine) Recover() ([]RecoveredJob, error) {
 	e.eventSeq = maxSeq
 	e.walMu.Unlock()
 
-	sort.SliceStable(order, func(i, k int) bool { return byID[order[i]].seq < byID[order[k]].seq })
-
-	var live []*WALRecord
-	if maxSeq > 0 || maxJobSeq > 0 {
-		// Lead the compacted log with the high-water marker, so counters
-		// survive even if every job below was deleted or compacted away.
-		live = append(live, &WALRecord{Seq: maxSeq, Kind: WALMark, JobSeq: maxJobSeq})
-	}
 	var recovered []RecoveredJob
 	var interrupted []*job
 	blobs := make(recoveredBlobs)
-	for _, id := range order {
-		rj := byID[id]
-		if rj.deleted || rj.spec.Type == "" {
-			// Retracted, or a stray record without its submission (e.g. the
-			// job record itself was the torn final line): drop it.
-			continue
+	for _, j := range jobs {
+		if j.cancelRequested && !j.status.State.Terminal() {
+			j.cancelReplayed()
 		}
-		if rj.status == nil && rj.canceled {
-			// Cancelled, but the crash beat the worker to the terminal
-			// record: synthesize the canceled terminal state the worker
-			// would have written, instead of re-running an explicitly
-			// cancelled job. Checkpoints past the cancel are trimmed below,
-			// so the preserved level series is the same strict prefix a
-			// live cancel keeps.
-			rj.statusSeq = rj.cancelSeq
-			now := time.Now()
-			rj.status = &Status{
-				ID: rj.id, Tenant: rj.tenant, Type: rj.spec.Type, State: StateCanceled,
-				Error: "canceled", Created: rj.created, Finished: &now,
-			}
-			for _, rec := range rj.levels {
-				if rec.Level != nil && rec.Seq < rj.cancelSeq {
-					rj.status.Levels = append(rj.status.Levels, *rec.Level)
-				}
-			}
-		}
-		if rj.statusSeq > 0 {
-			// Drop checkpoints recorded after the terminal record: a cancel
-			// racing the last in-flight level can append one stray WALLevel
-			// the live stream never delivered, and replaying it would make
-			// the rebuilt event feed disagree with Status.Levels.
-			kept := rj.levels[:0]
-			for _, rec := range rj.levels {
-				if rec.Seq < rj.statusSeq {
-					kept = append(kept, rec)
-				}
-			}
-			rj.levels = kept
-		}
-		created := rj.created
-		live = append(live, &WALRecord{
-			Seq: firstSeqOf(rj), Kind: WALJob, JobID: rj.id,
-			JobSeq: rj.seq, Tenant: rj.tenant, Spec: &rj.spec, Created: &created,
-		})
-		// Checkpoints stay in the compacted log for every job: interrupted
-		// jobs resume from them after a second crash, and terminal jobs keep
-		// their event feed — and therefore their subscribers' resume cursors
-		// — valid across any number of restarts.
-		for i := range rj.levels {
-			rec := rj.levels[i]
-			live = append(live, &rec)
-		}
-		if rj.status != nil && rj.status.State.Terminal() {
-			j := e.rebuildTerminal(rj, blobs)
-			live = append(live, &WALRecord{
-				Seq: j.termSeq, Kind: WALStatus, JobID: rj.id,
-				Status: rj.status, Result: rj.result,
-			})
+		if j.status.State.Terminal() {
+			e.restoreTerminal(j, blobs)
 			recovered = append(recovered, RecoveredJob{Status: j.snapshot()})
 			continue
 		}
-		j := e.rebuildInterrupted(rj)
+		e.restoreInterrupted(j)
 		interrupted = append(interrupted, j)
 		recovered = append(recovered, RecoveredJob{Status: j.snapshot(), Resumed: true})
 	}
-	if err := e.opts.JobLog.CompactWAL(live); err != nil {
-		return nil, fmt.Errorf("service: compact job log: %w", err)
-	}
 	e.sortFinished()
+	if err := e.CompactLog(); err != nil {
+		return nil, err
+	}
 	for _, j := range interrupted {
 		e.resubmit(j)
 	}
 	return recovered, nil
 }
 
-// firstSeqOf reconstructs the sequence number of a job's submission record:
-// strictly below its first checkpoint and terminal record, preserving WAL
-// kind ordering through compaction. The exact value is otherwise
-// insignificant — cursors only ever name level and status records.
-func firstSeqOf(rj *replayedJob) uint64 {
-	if len(rj.levels) > 0 && rj.levels[0].Seq > 0 {
-		return rj.levels[0].Seq - 1
+// replayedSubmission creates the job a WALJob record submitted, pending
+// until later records fold into it. Until restoreTerminal decides whether
+// the log carried a truncated event tail, droppedSeq holds the record's own
+// seq: for a compacted truncated job that is the highest truncated seq
+// (firstSeqLocked wrote it there).
+func replayedSubmission(rec WALRecord) *job {
+	// The default-tenant migration: job records written before
+	// multi-tenancy carry no tenant and are adopted into DefaultTenant,
+	// matching Store.Open's adoption of untagged table metadata.
+	tenant := rec.Tenant
+	if tenant == "" {
+		tenant = DefaultTenant
 	}
-	if rj.statusSeq > 0 {
-		return rj.statusSeq - 1
+	j := &job{
+		status:     Status{ID: rec.JobID, Tenant: tenant, Type: rec.Spec.Type, State: StatePending},
+		seq:        rec.JobSeq,
+		spec:       *rec.Spec,
+		done:       make(chan struct{}),
+		notify:     make(chan struct{}),
+		droppedSeq: rec.Seq,
 	}
-	return 0
+	if rec.Created != nil {
+		j.status.Created = *rec.Created
+	}
+	return j
+}
+
+// replay folds one level, status or cancel record into a replayed job, the
+// way the live engine applied it.
+func (j *job) replay(rec WALRecord) {
+	switch rec.Kind {
+	case WALLevel:
+		if j.status.State.Terminal() {
+			// recordLevel's rule: a cancel racing the last in-flight level
+			// can append a checkpoint after the terminal record that no
+			// subscriber ever saw.
+			return
+		}
+		if rec.Level != nil {
+			j.status.Levels = append(j.status.Levels, *rec.Level)
+		}
+		j.status.Progress = rec.Progress
+		// The original sequence numbers keep reconnecting subscribers'
+		// cursors valid across the restart.
+		j.events = append(j.events, Event{
+			Type: EventLevel, Seq: rec.Seq, Job: j.status.ID, Level: rec.Level,
+			Calibration: rec.Calibration, Progress: rec.Progress, Source: rec.Source,
+		})
+	case WALStatus:
+		if rec.Status == nil || !rec.Status.State.Terminal() {
+			return
+		}
+		tenant := j.status.Tenant
+		j.status = *rec.Status
+		if j.status.Tenant == "" {
+			// Terminal records written before multi-tenancy: the migrated
+			// tenant from the job record carries over.
+			j.status.Tenant = tenant
+		}
+		j.termSeq, j.resultRec = rec.Seq, rec.Result
+	case WALCancel:
+		j.cancelRequested, j.cancelSeq = true, rec.Seq
+	}
+}
+
+// cancelReplayed finishes a job whose cancel was journaled but whose
+// terminal record the crash beat: it takes the canceled terminal state the
+// worker would have written, at the cancel record's seq, instead of
+// re-running an explicitly cancelled job. Checkpoints from the cancel on
+// are dropped, so the preserved level series is the same strict prefix a
+// live cancel keeps.
+func (j *job) cancelReplayed() {
+	now := time.Now()
+	j.status = Status{
+		ID: j.status.ID, Tenant: j.status.Tenant, Type: j.status.Type, State: StateCanceled,
+		Error: "canceled", Created: j.status.Created, Finished: &now,
+	}
+	j.termSeq = j.cancelSeq
+	kept := j.events[:0]
+	for _, ev := range j.events {
+		if ev.Seq < j.cancelSeq {
+			kept = append(kept, ev)
+			if ev.Level != nil {
+				j.status.Levels = append(j.status.Levels, *ev.Level)
+			}
+		}
+	}
+	j.events = kept
 }
 
 // recoveredBlobs memoizes result-blob loads for one Recover call, keyed by
@@ -244,55 +220,41 @@ func (b recoveredBlobs) load(store *Store, hash string) (*dataset.Table, error) 
 	return l.table, l.err
 }
 
-// rebuildTerminal restores a finished job into the engine's log: status,
-// per-level events (for Stream replay), and — for done jobs — the Result,
-// its table reloaded from the blob space through blobs. A missing or
-// unreadable blob degrades to a result-less job rather than failing
-// recovery, and is recorded in EngineStats.RecoveryErrors.
-func (e *Engine) rebuildTerminal(rj *replayedJob, blobs recoveredBlobs) *job {
-	j := &job{
-		status:  *rj.status,
-		seq:     rj.seq,
-		spec:    rj.spec,
-		done:    make(chan struct{}),
-		notify:  make(chan struct{}),
-		termSeq: rj.statusSeq,
-	}
-	if j.status.Tenant == "" {
-		// Terminal records written before multi-tenancy: the migrated
-		// tenant from the job record carries over.
-		j.status.Tenant = rj.tenant
-	}
+// restoreTerminal finishes a replayed terminal job: its event feed's
+// truncation offset, and — for done jobs — the Result, its table reloaded
+// from the blob space through blobs; then it truncates the feed like a live
+// finish and registers the job. A missing or unreadable blob degrades to a
+// result-less job rather than failing recovery, and is recorded in
+// EngineStats.RecoveryErrors.
+func (e *Engine) restoreTerminal(j *job, blobs recoveredBlobs) {
 	close(j.done)
-	j.events = eventsFromCheckpoints(rj)
-	if n := len(rj.status.Levels) - len(j.events); n > 0 && len(j.events) > 0 {
-		// The durable log carries only a truncated tail of the level series
-		// (online compaction ran after event truncation): restore the base
-		// offset so resuming subscribers keep getting the same synthesized
-		// result replay they would have gotten before the restart.
+	if n := len(j.status.Levels) - len(j.events); n > 0 && len(j.events) > 0 {
+		// The log carried only a truncated tail of the level series (it was
+		// compacted after event truncation), and droppedSeq still holds the
+		// job record's seq, the highest truncated one: resuming subscribers
+		// keep getting the same synthesized result replay they would have
+		// gotten before the restart.
 		j.eventsBase = n
-		if s := j.events[0].Seq; s > 0 {
-			j.droppedSeq = s - 1
-		}
+	} else {
+		j.droppedSeq = 0
 	}
-	j.resultRec = rj.result
-	if rj.status.State == StateDone && rj.result != nil {
+	if rr := j.resultRec; j.status.State == StateDone && rr != nil {
 		res := &Result{
-			Levels:     rj.result.Levels,
-			OptimalK:   rj.result.OptimalK,
-			Hmax:       rj.result.Hmax,
-			Tp:         rj.result.Tp,
-			Tu:         rj.result.Tu,
-			Evaluated:  rj.result.Evaluated,
-			Partial:    rj.result.Partial,
-			Before:     rj.result.Before,
-			After:      rj.result.After,
-			Assessment: rj.result.Assessment,
+			Levels:     rr.Levels,
+			OptimalK:   rr.OptimalK,
+			Hmax:       rr.Hmax,
+			Tp:         rr.Tp,
+			Tu:         rr.Tu,
+			Evaluated:  rr.Evaluated,
+			Partial:    rr.Partial,
+			Before:     rr.Before,
+			After:      rr.After,
+			Assessment: rr.Assessment,
 		}
-		if h := rj.result.TableHash; h != "" {
+		if h := rr.TableHash; h != "" {
 			t, err := blobs.load(e.store, h)
 			if err != nil {
-				e.noteRecoveryError(rj.id, fmt.Errorf("result blob %s: %w", h, err))
+				e.noteRecoveryError(j.status.ID, fmt.Errorf("result blob %s: %w", h, err))
 			} else {
 				res.Table = t
 			}
@@ -306,29 +268,6 @@ func (e *Engine) rebuildTerminal(rj *replayedJob, blobs recoveredBlobs) *job {
 	e.jobs[j.status.ID] = j
 	e.finished = append(e.finished, j)
 	e.mu.Unlock()
-	return j
-}
-
-// eventsFromCheckpoints rebuilds the per-job event feed from WAL level
-// records, preserving the original sequence numbers so reconnecting
-// subscribers' cursors stay valid across the restart.
-func eventsFromCheckpoints(rj *replayedJob) []Event {
-	if len(rj.levels) == 0 {
-		return nil
-	}
-	evs := make([]Event, 0, len(rj.levels))
-	for _, rec := range rj.levels {
-		evs = append(evs, Event{
-			Type:        EventLevel,
-			Seq:         rec.Seq,
-			Job:         rj.id,
-			Level:       rec.Level,
-			Calibration: rec.Calibration,
-			Progress:    rec.Progress,
-			Source:      rec.Source,
-		})
-	}
-	return evs
 }
 
 // reseedCache re-registers a recovered done job's result under its cache
@@ -346,41 +285,20 @@ func (e *Engine) reseedCache(j *job, res *Result) {
 	e.cache.Put(j.status.Tenant, key, res, e.opts.Quotas.For(j.status.Tenant).CacheShare)
 }
 
-// rebuildInterrupted reconstructs an interrupted job as pending, seeded
-// with its checkpointed levels: Status.Levels and the event feed replay
-// them, and a fred-sweep computes only the levels it has no checkpoint for.
-func (e *Engine) rebuildInterrupted(rj *replayedJob) *job {
-	ctx, cancel := context.WithCancel(e.baseCtx)
-	j := &job{
-		status: Status{
-			ID: rj.id, Tenant: rj.tenant, Type: rj.spec.Type, State: StatePending,
-			Created: rj.created, Resumed: true,
-		},
-		seq:    rj.seq,
-		spec:   rj.spec,
-		ctx:    ctx,
-		cancel: cancel,
-		done:   make(chan struct{}),
-		notify: make(chan struct{}),
-	}
-	// Checkpoints may arrive in any order (an adaptive search evaluates
-	// out of k order) and with gaps (recordLevel tolerates a dropped WAL
-	// append): the planner adopts whatever set they cover and computes the
-	// rest.
-	if rj.spec.Type == JobFREDSweep && len(rj.levels) > 0 {
-		for _, rec := range rj.levels {
-			if rec.Level != nil {
-				j.resume = append(j.resume, *rec.Level)
-			}
-		}
-		j.status.Levels = j.resume
-		j.events = eventsFromCheckpoints(rj)
-		j.status.Progress = rj.levels[len(rj.levels)-1].Progress
-	}
+// restoreInterrupted readies a replayed interrupted job for re-submission
+// as pending. Its checkpointed levels stay in Status.Levels and the event
+// feed, and seed a fred-sweep's resume: checkpoints may arrive in any order
+// (an adaptive search evaluates out of k order) and with gaps (recordLevel
+// tolerates a dropped WAL append), and the planner adopts whatever set they
+// cover and computes the rest.
+func (e *Engine) restoreInterrupted(j *job) {
+	j.ctx, j.cancel = context.WithCancel(e.baseCtx)
+	j.status.Resumed = true
+	j.droppedSeq = 0
+	j.resume = j.status.Levels
 	e.mu.Lock()
 	e.jobs[j.status.ID] = j
 	e.mu.Unlock()
-	return j
 }
 
 // resubmit resolves a rebuilt interrupted job's tables and enqueues it. A
