@@ -47,6 +47,7 @@ import (
 	"os"
 	"runtime"
 	"runtime/pprof"
+	"sort"
 	"strconv"
 	"strings"
 	"time"
@@ -219,7 +220,12 @@ func sweep(p *dataset.Table, cfg core.Config, workers int, kset string, stride i
 	if budget > 0 {
 		pcfg.Deadline = time.Now().Add(budget)
 	}
-	fmt.Printf("sweeping %d levels (k = %d..%d) on %d workers\n", len(ks), ks[0], ks[len(ks)-1], workers)
+	// Count only levels the table can hold; the rest are reported after the
+	// sweep as infeasible skips.
+	feasible := ks[:sort.SearchInts(ks, p.NumRows()+1)]
+	if len(feasible) > 0 {
+		fmt.Printf("sweeping %d levels (k = %d..%d) on %d workers\n", len(feasible), feasible[0], feasible[len(feasible)-1], workers)
+	}
 	fmt.Printf("%4s  %13s  %13s  %13s  %12s\n", "k", "P∘P' (before)", "P∘P̂ (after)", "gain G", "utility U")
 	out, err := planner.Run(context.Background(), p, pcfg)
 	if err != nil {

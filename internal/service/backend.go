@@ -134,6 +134,18 @@ type ResultRecord struct {
 	Assessment *risk.Assessment `json:"assessment,omitempty"`
 }
 
+// record and result convert between a Result and its durable projection;
+// the table travels separately, as the blob TableHash names.
+func (r *Result) record() *ResultRecord {
+	return &ResultRecord{Levels: r.Levels, OptimalK: r.OptimalK, Hmax: r.Hmax, Tp: r.Tp, Tu: r.Tu,
+		Evaluated: r.Evaluated, Partial: r.Partial, Before: r.Before, After: r.After, Assessment: r.Assessment}
+}
+
+func (rr *ResultRecord) result() *Result {
+	return &Result{Levels: rr.Levels, OptimalK: rr.OptimalK, Hmax: rr.Hmax, Tp: rr.Tp, Tu: rr.Tu,
+		Evaluated: rr.Evaluated, Partial: rr.Partial, Before: rr.Before, After: rr.After, Assessment: rr.Assessment}
+}
+
 // JobBackend is the durability plane behind the engine's job log.
 // Implementations must be safe for concurrent appends; the engine
 // additionally serializes appends so file order matches sequence order.

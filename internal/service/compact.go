@@ -78,12 +78,9 @@ func (j *job) walImage() []*WALRecord {
 			Progress: ev.Progress, Source: ev.Source,
 		})
 	}
-	if st.State.Terminal() {
-		stCopy := st
-		out = append(out, &WALRecord{
-			Seq: j.termSeq, Kind: WALStatus, JobID: st.ID,
-			Status: &stCopy, Result: j.resultRec,
-		})
+	if j.term != nil {
+		// Committed, perhaps not yet published: a restart must recover it.
+		out = append(out, j.term)
 	} else if j.cancelRequested {
 		// Cancel journaled, worker still unwinding: preserve the record, or
 		// a crash before the terminal append would re-run a canceled job.
@@ -107,8 +104,8 @@ func (j *job) firstSeqLocked() uint64 {
 			return j.events[i].Seq - 1
 		}
 	}
-	if j.termSeq > 0 {
-		return j.termSeq - 1
+	if j.term != nil && j.term.Seq > 0 {
+		return j.term.Seq - 1
 	}
 	return 0
 }

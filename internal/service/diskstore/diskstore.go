@@ -197,6 +197,11 @@ func (s *Store) openWAL() error {
 	if err != nil {
 		return fmt.Errorf("diskstore: open wal: %w", err)
 	}
+	// Covers the segment's creation and a legacy jobs.wal adoption above.
+	if err := syncDir(s.dir); err != nil {
+		wal.Close() //nolint:errcheck
+		return err
+	}
 	s.wal = wal
 	s.walSeq = active
 	s.segBorn = time.Now()
@@ -502,7 +507,7 @@ func (s *Store) writeSnapshot(path string, t *dataset.Table) error {
 	if err := os.Rename(tmp.Name(), path); err != nil {
 		return fmt.Errorf("diskstore: %w", err)
 	}
-	return nil
+	return syncDir(filepath.Dir(path))
 }
 
 func (s *Store) readSnapshot(path string) (*dataset.Table, error) {
@@ -608,7 +613,7 @@ func atomicWrite(path string, data []byte) error {
 	if err := os.Rename(tmp.Name(), path); err != nil {
 		return fmt.Errorf("diskstore: %w", err)
 	}
-	return nil
+	return syncDir(filepath.Dir(path))
 }
 
 // --- JobBackend -------------------------------------------------------------
@@ -666,6 +671,10 @@ func (s *Store) rotateLocked() error {
 	next, err := os.OpenFile(s.segPath(s.walSeq+1), os.O_CREATE|os.O_WRONLY|os.O_APPEND, 0o644)
 	if err != nil {
 		return fmt.Errorf("diskstore: rotate wal: %w", err)
+	}
+	if err := syncDir(s.dir); err != nil {
+		next.Close() //nolint:errcheck
+		return err
 	}
 	s.wal.Sync()  //nolint:errcheck // best-effort, matching SyncWAL cadence
 	s.wal.Close() //nolint:errcheck

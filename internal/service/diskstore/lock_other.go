@@ -9,3 +9,6 @@ import "os"
 func lockDir(string) (*os.File, error) { return nil, nil }
 
 func unlockDir(*os.File) {}
+
+// syncDir is a no-op where a directory handle cannot be fsynced.
+func syncDir(string) error { return nil }

@@ -31,3 +31,18 @@ func unlockDir(f *os.File) {
 		f.Close()
 	}
 }
+
+// syncDir fsyncs a directory, so a rename or file creation inside it
+// survives power loss, not only a process crash: without it the WAL can
+// name a blob whose directory entry never reached disk.
+func syncDir(dir string) error {
+	d, err := os.Open(dir)
+	if err == nil {
+		err = d.Sync()
+		d.Close()
+	}
+	if err != nil {
+		return fmt.Errorf("diskstore: sync directory: %w", err)
+	}
+	return nil
+}

@@ -12,10 +12,12 @@ import (
 	"os"
 	"path/filepath"
 	"strings"
+	"sync"
 	"testing"
 	"time"
 
 	"repro"
+	"repro/internal/dataset"
 	"repro/internal/service"
 	"repro/internal/service/diskstore"
 )
@@ -459,5 +461,193 @@ func TestBlobGCReclaimsUnreferenced(t *testing.T) {
 	waitDone(t, engine, st2.ID)
 	if left, _ := filepath.Glob(blobGlob); len(left) == 0 {
 		t.Fatal("re-run did not rewrite the result blob")
+	}
+}
+
+// syncGate wraps a job log and parks the first SyncWAL until release is
+// closed.
+type syncGate struct {
+	service.JobBackend
+	entered, release chan struct{}
+	once             sync.Once
+}
+
+func (g *syncGate) SyncWAL() error {
+	g.once.Do(func() {
+		close(g.entered)
+		<-g.release
+	})
+	return g.JobBackend.SyncWAL()
+}
+
+// TestCompactionDuringTerminalCommitRecoversResult: an online compaction
+// that runs after a job's terminal record is appended but before its sync
+// returns must carry that record, result projection included, into the
+// compacted image — the append it supersedes is gone. After a restart the
+// job recovers done with its result table.
+func TestCompactionDuringTerminalCommitRecoversResult(t *testing.T) {
+	dir := t.TempDir()
+	sc, err := repro.UniversityScenario(repro.ScenarioOptions{Seed: 42, N: 30})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ds, err := diskstore.Open(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	store := service.NewStoreWith(ds)
+	if err := store.Open(); err != nil {
+		t.Fatal(err)
+	}
+	pInfo, err := store.Put(service.DefaultTenant, "P", sc.P)
+	if err != nil {
+		t.Fatal(err)
+	}
+	qInfo, err := store.Put(service.DefaultTenant, "Q", sc.Q)
+	if err != nil {
+		t.Fatal(err)
+	}
+	gate := &syncGate{JobBackend: ds, entered: make(chan struct{}), release: make(chan struct{})}
+	engine := service.NewEngine(store, service.Options{Workers: 1, SweepWorkers: 1, JobLog: gate})
+	if _, err := engine.Recover(); err != nil {
+		t.Fatal(err)
+	}
+	engine.Start()
+	st, err := engine.Submit(service.DefaultTenant, sweepSpec(pInfo.ID, qInfo.ID))
+	if err != nil {
+		t.Fatal(err)
+	}
+	select {
+	case <-gate.entered:
+	case <-time.After(60 * time.Second):
+		close(gate.release)
+		t.Fatal("job never synced its terminal record")
+	}
+	compactErr := engine.CompactLog()
+	close(gate.release)
+	if compactErr != nil {
+		t.Fatal(compactErr)
+	}
+	waitDone(t, engine, st.ID)
+	want, err := engine.Result(service.DefaultTenant, st.ID)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
+	defer cancel()
+	if err := engine.Shutdown(ctx); err != nil {
+		t.Fatal(err)
+	}
+	if err := ds.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	_, _, engine2 := openPlane(t, dir, service.Options{Workers: 1, SweepWorkers: 1})
+	if _, err := engine2.Recover(); err != nil {
+		t.Fatal(err)
+	}
+	got, err := engine2.Job(service.DefaultTenant, st.ID)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got.State != service.StateDone {
+		t.Fatalf("job recovered as %s, want done", got.State)
+	}
+	res, err := engine2.Result(service.DefaultTenant, st.ID)
+	if err != nil {
+		t.Fatalf("recovered job lost its result: %v", err)
+	}
+	if res.Table == nil || fingerprintHex(t, res.Table) != fingerprintHex(t, want.Table) {
+		t.Fatal("recovered result table differs from the one served before the restart")
+	}
+}
+
+// blobGate wraps a diskstore and parks the first PutBlob, after the blob is
+// on disk, until release is closed.
+type blobGate struct {
+	*diskstore.Store
+	entered, release chan struct{}
+	once             sync.Once
+}
+
+func (g *blobGate) PutBlob(hash string, tab *dataset.Table) error {
+	err := g.Store.PutBlob(hash, tab)
+	g.once.Do(func() {
+		close(g.entered)
+		<-g.release
+	})
+	return err
+}
+
+// TestBlobGCDuringTerminalCommitKeepsBlob: a GC pass that starts after a
+// job wrote its result blob but before the status record naming it exists
+// must not reclaim the blob — the record is about to root it.
+func TestBlobGCDuringTerminalCommitKeepsBlob(t *testing.T) {
+	dir := t.TempDir()
+	sc, err := repro.UniversityScenario(repro.ScenarioOptions{Seed: 42, N: 30})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ds, err := diskstore.Open(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { ds.Close() })
+	gate := &blobGate{Store: ds, entered: make(chan struct{}), release: make(chan struct{})}
+	store := service.NewStoreWith(gate)
+	if err := store.Open(); err != nil {
+		t.Fatal(err)
+	}
+	pInfo, err := store.Put(service.DefaultTenant, "P", sc.P)
+	if err != nil {
+		t.Fatal(err)
+	}
+	qInfo, err := store.Put(service.DefaultTenant, "Q", sc.Q)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// CacheSize -1: the result cache must not be what keeps the blob alive.
+	engine := service.NewEngine(store, service.Options{Workers: 1, SweepWorkers: 1, CacheSize: -1, JobLog: ds})
+	t.Cleanup(func() {
+		ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
+		defer cancel()
+		engine.Shutdown(ctx)
+	})
+	if _, err := engine.Recover(); err != nil {
+		t.Fatal(err)
+	}
+	engine.Start()
+	st, err := engine.Submit(service.DefaultTenant, sweepSpec(pInfo.ID, qInfo.ID))
+	if err != nil {
+		t.Fatal(err)
+	}
+	select {
+	case <-gate.entered:
+	case <-time.After(60 * time.Second):
+		close(gate.release)
+		t.Fatal("job never wrote its result blob")
+	}
+	gcDone := make(chan error, 1)
+	go func() {
+		_, err := engine.GCBlobs(false)
+		gcDone <- err
+	}()
+	// Give an unsynchronized pass time to finish inside the window; a pass
+	// that waits for the commit finishes only after the release.
+	select {
+	case err := <-gcDone:
+		gcDone <- err
+	case <-time.After(100 * time.Millisecond):
+	}
+	close(gate.release)
+	if err := <-gcDone; err != nil {
+		t.Fatal(err)
+	}
+	waitDone(t, engine, st.ID)
+	if blobs, _ := filepath.Glob(filepath.Join(dir, "results", "*.snap")); len(blobs) != 1 {
+		t.Fatalf("%d result blobs on disk after GC raced the commit, want the job's 1", len(blobs))
+	}
+	if dry, err := engine.GCBlobs(true); err != nil || dry.Live != 1 || dry.Reclaimed != 0 {
+		t.Fatalf("GC after the commit: %+v (%v), want the job's blob live", dry, err)
 	}
 }

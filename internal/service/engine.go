@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"log/slog"
 	"runtime"
+	"slices"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -140,6 +141,8 @@ type Engine struct {
 	// are monotonic AND appear in the log in order.
 	walMu    sync.Mutex
 	eventSeq uint64
+	// blobMu excludes blob GC passes (writers) from commits (readers).
+	blobMu sync.RWMutex
 
 	mu       sync.RWMutex
 	seq      int
@@ -193,28 +196,26 @@ type job struct {
 	cancel   context.CancelFunc
 	done     chan struct{}
 	// events is the per-job event log streamed by Engine.Stream; notify is
-	// closed and replaced at every append (and at finish) to wake blocked
-	// subscribers. Once the job is terminal and its result is durable the
-	// log may be truncated to a bounded tail: eventsBase counts the events
-	// dropped from the front (so absolute stream indices stay stable) and
-	// droppedSeq is the highest sequence number among them. All guarded by mu.
+	// closed and replaced at every append (and at publish) to wake blocked
+	// subscribers. A terminal job's log is truncated to a bounded tail:
+	// eventsBase counts the events dropped from the front (so absolute
+	// stream indices stay stable) and droppedSeq is the highest sequence
+	// number among them. All guarded by mu.
 	events     []Event
 	eventsBase int
 	droppedSeq uint64
 	notify     chan struct{}
-	// termSeq is the event sequence number of the terminal status record,
-	// assigned by logTerminal (best-effort: a subscriber racing the WAL
-	// append may observe it as zero). Guarded by mu.
-	termSeq uint64
 	// resume holds a recovered fred-sweep's checkpointed levels, in WAL
 	// order; the sweep adopts them instead of recomputing them. Set only by
 	// Recover.
 	resume []LevelSummary
-	// resultRec is the durable projection logTerminal wrote (nil for jobs
-	// that failed, were canceled, or ran on an ephemeral store). Online log
-	// compaction re-emits it instead of re-hashing the result table, and
-	// blob GC reads its TableHash as a liveness root. Guarded by mu.
-	resultRec *ResultRecord
+	// claimed makes the job terminal to every writer (recordLevel,
+	// recordSkip, setProgress, start, Cancel); readers see it terminal only
+	// once published. term is the committed terminal status record:
+	// compaction re-emits it, its Seq is the status event's cursor (0 if the
+	// append failed), and blob GC roots its TableHash. Both guarded by mu.
+	claimed bool
+	term    *WALRecord
 	// cancelRequested marks a journaled cancellation whose terminal record
 	// has not landed yet; online compaction must preserve the WALCancel
 	// record (at cancelSeq) or a crash would re-run the canceled job.
@@ -232,64 +233,22 @@ func (j *job) snapshot() Status {
 func (j *job) setProgress(p float64) {
 	j.mu.Lock()
 	defer j.mu.Unlock()
-	if !j.status.State.Terminal() {
+	if !j.claimed {
 		j.status.Progress = p
 	}
 }
 
 // start transitions pending → running; it reports false when the job was
-// already finalized (e.g. canceled while queued).
+// already claimed for termination (e.g. canceled while queued).
 func (j *job) start() bool {
 	j.mu.Lock()
 	defer j.mu.Unlock()
-	if j.status.State != StatePending {
+	if j.claimed || j.status.State != StatePending {
 		return false
 	}
 	now := time.Now()
 	j.status.State = StateRunning
 	j.status.Started = &now
-	return true
-}
-
-// finish finalizes the job exactly once; later calls are no-ops. It reports
-// whether this call performed the transition, so exactly one caller retires
-// the job into the engine's finished log.
-func (j *job) finish(res *Result, err error) bool {
-	j.mu.Lock()
-	defer j.mu.Unlock()
-	if j.status.State.Terminal() {
-		return false
-	}
-	now := time.Now()
-	j.status.Finished = &now
-	switch {
-	case err == nil:
-		j.result = res
-		j.status.State = StateDone
-		j.status.Progress = 1
-		j.status.Summary = res.summarize(j.status.Type)
-	case errors.Is(err, context.Canceled):
-		j.status.State = StateCanceled
-		j.status.Error = "canceled"
-	default:
-		j.status.State = StateFailed
-		j.status.Error = err.Error()
-	}
-	close(j.done)
-	if err == nil && res != nil && len(res.Levels) > 0 {
-		// Adopt the result's level summaries: they carry the final candidate
-		// flags the streamed partials could not know under auto-calibration.
-		j.status.Levels = res.Levels
-	}
-	// Release the job's child context so finished jobs do not accumulate
-	// on the engine's base context, and drop the captured input tables so
-	// a deleted store table is not pinned for the daemon's lifetime. The
-	// worker never reads p/aux after finish: a finalized job fails its
-	// start() gate.
-	j.cancel()
-	j.p, j.aux = nil, nil
-	// Wake subscribers so they observe the terminal state and close out.
-	j.broadcastLocked()
 	return true
 }
 
@@ -332,7 +291,7 @@ func (e *Engine) Start() {
 			for j := range e.queue {
 				e.dequeued(j)
 				if j.ctx.Err() != nil || !j.start() {
-					e.finalize(j, nil, context.Canceled)
+					e.terminate(j, nil, context.Canceled)
 					continue
 				}
 				e.busyWorkers.Add(1)
@@ -343,15 +302,7 @@ func (e *Engine) Start() {
 				res, err := e.run(ctx, j)
 				span.End()
 				e.busyWorkers.Add(-1)
-				// Partial (budget-truncated) results are not memoized: an
-				// identical resubmission with a fresh budget should compute
-				// the missing levels, not replay the truncation. Their
-				// computed levels still entered the level index, so the
-				// re-run warm-starts from them.
-				if err == nil && !res.Partial {
-					e.cachePut(j, res)
-				}
-				e.finalize(j, res, err)
+				e.terminate(j, res, err)
 			}
 		}()
 	}
@@ -412,39 +363,127 @@ func (e *Engine) Stats() EngineStats {
 	}
 }
 
-// cachePut registers a finished job's result under its tenant-scoped cache
-// key, bounded by the tenant's cache share.
-func (e *Engine) cachePut(j *job, res *Result) {
-	tenant := j.snapshot().Tenant
-	e.cache.Put(tenant, j.key, res, e.opts.Quotas.For(tenant).CacheShare)
+// terminate ends a job exactly once; later calls are no-ops. It is the one
+// terminal path, so it owns the order that keeps every terminal state a
+// client can see durable: prepare claims the job, commit makes its terminal
+// state durable, publish makes it visible. It must not be called while
+// holding e.mu (commit does blob and WAL I/O).
+func (e *Engine) terminate(j *job, res *Result, err error) {
+	if st, ok := j.prepare(res, err); ok {
+		e.publish(j, e.commit(j, st, res))
+	}
 }
 
-// finalize finishes a job exactly once, writes its terminal WAL record,
-// retires it into the finished log and logs any retention evictions. It must
-// not be called while holding e.mu (it performs WAL I/O and takes the lock
-// itself).
-func (e *Engine) finalize(j *job, res *Result, err error) bool {
-	if !j.finish(res, err) {
-		return false
+// prepare claims the job and builds its terminal status, changing nothing a
+// reader sees. It reports false when the job was already claimed.
+func (j *job) prepare(res *Result, err error) (Status, bool) {
+	j.mu.Lock()
+	defer j.mu.Unlock()
+	if j.claimed {
+		return Status{}, false
 	}
-	e.observeTerminal(j)
-	e.logTerminal(j)
-	// The terminal record (and result blob, when durable) is on disk now, so
-	// the full in-memory event log is redundant with the result: keep only a
-	// bounded tail for resuming subscribers.
-	e.truncateEvents(j)
+	j.claimed = true
+	st := j.status
+	now := time.Now()
+	st.Finished = &now
+	switch {
+	case err == nil:
+		st.State = StateDone
+		st.Progress = 1
+		st.Summary = res.summarize(st.Type)
+		if len(res.Levels) > 0 {
+			// Adopt the result's level summaries: they carry the final
+			// candidate flags the streamed partials could not know under
+			// auto-calibration.
+			st.Levels = res.Levels
+		}
+	case errors.Is(err, context.Canceled):
+		st.State = StateCanceled
+		st.Error = "canceled"
+	default:
+		st.State = StateFailed
+		st.Error = err.Error()
+	}
+	return st, true
+}
+
+// committed is a terminal state commit made durable. Only commit builds
+// one and publish takes nothing else, so a path that skips commit has
+// nothing to publish.
+type committed struct {
+	rec *WALRecord
+	res *Result
+}
+
+// commit writes the result blob, then appends the status record naming it,
+// then syncs the log. The record is stored on the job in the walMu section
+// that appended it, so a CompactLog before publish re-emits it, and blobMu
+// keeps GCBlobs from reclaiming the blob before the record roots it.
+// Durability stays best-effort: a failed blob write leaves no table hash,
+// and a failed append leaves seq 0, which no recovery reissues.
+func (e *Engine) commit(j *job, st Status, res *Result) committed {
+	rec := &WALRecord{Kind: WALStatus, JobID: st.ID, Status: &st}
+	e.blobMu.RLock()
+	if st.State == StateDone && e.store.Durable() {
+		rec.Result = res.record()
+		if res.Table != nil {
+			if h, err := HashTable(res.Table); err == nil && e.store.PutBlob(h, res.Table) == nil {
+				rec.Result.TableHash = h
+			}
+		}
+	}
+	e.walMu.Lock()
+	_, err := e.appendWALLocked(rec)
+	if err != nil {
+		rec.Seq = 0
+	}
+	j.mu.Lock()
+	j.term = rec
+	j.mu.Unlock()
+	e.walMu.Unlock()
+	e.blobMu.RUnlock()
+	if err == nil {
+		e.opts.JobLog.SyncWAL() //nolint:errcheck // durability is best-effort here
+	}
+	return committed{rec: rec, res: res}
+}
+
+// publish makes a committed terminal state visible. The cache and the
+// finished log take the job first, so a caller woken by done finds both
+// settled; then one j.mu section installs the status and result, truncates
+// the event log and closes done.
+func (e *Engine) publish(j *job, c committed) {
+	st := *c.rec.Status
+	// Partial (budget-truncated) results are not memoized: an identical
+	// resubmission with a fresh budget should compute the missing levels,
+	// not replay the truncation. Their computed levels still entered the
+	// level index, so the re-run warm-starts from them.
+	if st.State == StateDone && !c.res.Partial && !st.Cached {
+		e.cache.Put(st.Tenant, j.key, c.res, e.opts.Quotas.For(st.Tenant).CacheShare)
+	}
+	e.observeTerminal(st)
 	e.mu.Lock()
 	evicted := e.retireLocked(j)
 	e.mu.Unlock()
+	j.mu.Lock()
+	j.status = st
+	j.result = c.res
+	j.truncateEventsLocked(e.opts.MaxJobEvents)
+	close(j.done)
+	// Release the job's child context, and drop the captured input tables
+	// so a deleted store table is not pinned for the daemon's lifetime (a
+	// claimed job fails its start() gate, so no worker reads them again).
+	j.cancel()
+	j.p, j.aux = nil, nil
+	j.broadcastLocked()
+	j.mu.Unlock()
 	e.logDeletes(evicted)
-	return true
 }
 
 // observeTerminal records a just-finished job's metrics and log line. The
 // duration histogram measures worker start → terminal, so cache-served jobs
 // (never started) contribute to jobs_finished_total but not to duration.
-func (e *Engine) observeTerminal(j *job) {
-	st := j.snapshot()
+func (e *Engine) observeTerminal(st Status) {
 	e.doneJobs.Add(1)
 	e.metrics.finished.With(st.Tenant, string(st.Type), string(st.State)).Inc()
 	attrs := []any{"type", string(st.Type), "state", string(st.State), "cached", st.Cached}
@@ -462,7 +501,7 @@ func (e *Engine) observeTerminal(j *job) {
 }
 
 // jobCtx builds a context carrying a job's identity for log correlation —
-// used on paths (finalize, cancel) that may run outside the job's own
+// used on paths (terminate, cancel) that may run outside the job's own
 // context.
 func (e *Engine) jobCtx(st Status) context.Context {
 	return obs.WithJobID(obs.WithTenant(context.Background(), st.Tenant), st.ID)
@@ -473,11 +512,6 @@ func (e *Engine) jobCtx(st Status) context.Context {
 // IDs for WAL retraction. Callers hold e.mu.
 func (e *Engine) retireLocked(j *job) []string {
 	if e.opts.MaxFinishedJobs < 0 {
-		return nil
-	}
-	if _, ok := e.jobs[j.status.ID]; !ok {
-		// Deleted between finish() and retire(): don't resurrect a ghost
-		// entry that would pin the result and consume a retention slot.
 		return nil
 	}
 	e.finished = append(e.finished, j)
@@ -499,64 +533,14 @@ func (e *Engine) retireLocked(j *job) []string {
 func (e *Engine) appendWAL(rec *WALRecord) (uint64, error) {
 	e.walMu.Lock()
 	defer e.walMu.Unlock()
+	return e.appendWALLocked(rec)
+}
+
+// appendWALLocked is appendWAL for callers already holding walMu.
+func (e *Engine) appendWALLocked(rec *WALRecord) (uint64, error) {
 	e.eventSeq++
 	rec.Seq = e.eventSeq
 	return rec.Seq, e.opts.JobLog.AppendWAL(rec)
-}
-
-// logTerminal appends a job's terminal status record — and, for a done job
-// on a durable store, the result projection plus the result table's blob —
-// then syncs the log: terminal records are the ones a crash must not lose.
-func (e *Engine) logTerminal(j *job) {
-	st := j.snapshot()
-	rec := &WALRecord{Kind: WALStatus, JobID: st.ID, Status: &st}
-	if st.State == StateDone {
-		rec.Result = e.resultRecord(j)
-	}
-	seq, err := e.appendWAL(rec)
-	if err != nil {
-		// Not durable: the terminal event must not advertise a sequence
-		// number recovery could reissue (see recordLevel).
-		seq = 0
-	} else {
-		e.opts.JobLog.SyncWAL() //nolint:errcheck // durability is best-effort here
-	}
-	j.mu.Lock()
-	j.termSeq = seq
-	j.resultRec = rec.Result
-	j.mu.Unlock()
-}
-
-// resultRecord builds the durable projection of a done job's result,
-// persisting the result table as a content-addressed blob. Ephemeral stores
-// skip the blob work entirely.
-func (e *Engine) resultRecord(j *job) *ResultRecord {
-	j.mu.Lock()
-	res := j.result
-	j.mu.Unlock()
-	if res == nil || !e.store.Durable() {
-		return nil
-	}
-	rec := &ResultRecord{
-		Levels:     res.Levels,
-		OptimalK:   res.OptimalK,
-		Hmax:       res.Hmax,
-		Tp:         res.Tp,
-		Tu:         res.Tu,
-		Evaluated:  res.Evaluated,
-		Partial:    res.Partial,
-		Before:     res.Before,
-		After:      res.After,
-		Assessment: res.Assessment,
-	}
-	if res.Table != nil {
-		if h, err := HashTable(res.Table); err == nil {
-			if err := e.store.PutBlob(h, res.Table); err == nil {
-				rec.TableHash = h
-			}
-		}
-	}
-	return rec
 }
 
 // logDeletes appends WAL retractions for jobs dropped from the log.
@@ -691,7 +675,7 @@ func (e *Engine) Submit(tenant string, spec Spec) (Status, error) {
 		j.status.Cached = true
 		j.mu.Unlock()
 		e.logger.InfoContext(ctx, "job submitted", "type", string(spec.Type), "cached", true)
-		e.finalize(j, res, nil)
+		e.terminate(j, res, nil)
 		return j.snapshot(), nil
 	}
 	e.metrics.cacheMisses.With(tenant).Inc()
@@ -776,21 +760,21 @@ func (e *Engine) Result(tenant, id string) (*Result, error) {
 	return j.result, nil
 }
 
-// Cancel cancels a pending or running job. Pending jobs finalize
+// Cancel cancels a pending or running job. Pending jobs terminate
 // immediately; running jobs stop at their next cancellation point — for a
 // fred-sweep that is between levels, mid-sweep, because the cancellation
 // propagates through the job context into the streaming sweep executor. A
-// job already in a terminal state reports ErrAlreadyFinished.
+// job already claimed for termination reports ErrAlreadyFinished.
 func (e *Engine) Cancel(tenant, id string) error {
 	j, err := e.get(tenant, id)
 	if err != nil {
 		return err
 	}
 	j.mu.Lock()
-	state := j.status.State
+	state, claimed := j.status.State, j.claimed
 	j.mu.Unlock()
-	if state.Terminal() {
-		return fmt.Errorf("%w: job %s is %s", ErrAlreadyFinished, id, state)
+	if claimed {
+		return fmt.Errorf("%w: job %s", ErrAlreadyFinished, id)
 	}
 	// The cancellation is journaled before anything else: a crash after
 	// Cancel returns but before the worker unwinds and writes the terminal
@@ -800,15 +784,14 @@ func (e *Engine) Cancel(tenant, id string) error {
 	seq, cancelErr := e.appendWAL(&WALRecord{Kind: WALCancel, JobID: id})
 	j.mu.Lock()
 	if cancelErr == nil {
-		j.cancelRequested = true
-		j.cancelSeq = seq
+		j.cancelRequested, j.cancelSeq = true, seq
 	}
 	j.mu.Unlock()
 	e.metrics.canceled.With(tenant).Inc()
 	e.logger.InfoContext(e.jobCtx(j.snapshot()), "job canceled", "was", string(state))
 	j.cancel()
 	if state == StatePending {
-		e.finalize(j, nil, context.Canceled)
+		e.terminate(j, nil, context.Canceled)
 	}
 	return nil
 }
@@ -831,21 +814,17 @@ func (e *Engine) Delete(tenant, id string) error {
 	delete(e.jobs, id)
 	// Drop the finished-log entry too, so the job's result is freed now and
 	// the ghost does not consume a retention slot.
-	for i, fj := range e.finished {
-		if fj == j {
-			e.finished = append(e.finished[:i], e.finished[i+1:]...)
-			break
-		}
-	}
+	e.finished = slices.DeleteFunc(e.finished, func(fj *job) bool { return fj == j })
 	e.mu.Unlock()
 	e.appendWAL(&WALRecord{Kind: WALDelete, JobID: id}) //nolint:errcheck
 	return nil
 }
 
 // Wait blocks until the job reaches a terminal state or ctx expires. It
-// parks on the job's done channel (closed exactly once by finish), so a
-// cancellation that interrupts a sweep mid-flight unblocks every waiter
-// immediately — there is no polling loop or sleep anywhere on this path.
+// parks on the job's done channel (closed exactly once, by publish, after
+// the terminal state is durable), so a cancellation that interrupts a sweep
+// mid-flight unblocks every waiter as soon as it commits — there is no
+// polling loop or sleep anywhere on this path.
 func (e *Engine) Wait(ctx context.Context, tenant, id string) (Status, error) {
 	j, err := e.get(tenant, id)
 	if err != nil {

@@ -6,9 +6,10 @@ import (
 )
 
 // This file implements garbage collection of content-addressed result blobs.
-// Blobs are written by logTerminal for every durable done job and are shared
-// by content, so nothing deletes them eagerly: Engine.Delete, retention
-// eviction and WAL compaction all leave the blob space alone. GCBlobs is the
+// Blobs are written by commit for every durable done job, before the status
+// record naming them, and are shared by content, so nothing deletes them
+// eagerly: Engine.Delete, retention eviction and WAL compaction all leave
+// the blob space alone. GCBlobs is the
 // reclaim path: it walks the backend's blob space and deletes every blob not
 // reachable from (a) a job still in the engine's log, (b) a result-cache
 // entry, or (c) a stored table's content hash (defensive: table snapshots
@@ -55,15 +56,17 @@ type GCReport struct {
 // cache, or the stored tables. With dryRun it only reports what a real pass
 // would delete. It is safe to run while the engine is serving: the live set
 // is computed from the engine's own job log, which every reachable blob hash
-// passes through (logTerminal records it before the job becomes terminal,
-// and recovery restores it), so a blob can never be observed unreferenced
-// while a job that will reference it is in flight — jobs only reference
-// blobs they themselves just wrote.
+// passes through (commit stores the record naming it before the job becomes
+// terminal, and recovery restores it). A pass excludes commits (blobMu), so
+// a blob can never be observed unreferenced while a job that will reference
+// it is in flight.
 func (e *Engine) GCBlobs(dryRun bool) (GCReport, error) {
 	gc, ok := e.store.backend.(BlobGC)
 	if !ok {
 		return GCReport{}, ErrNoBlobGC
 	}
+	e.blobMu.Lock()
+	defer e.blobMu.Unlock()
 	live, err := e.liveBlobHashes()
 	if err != nil {
 		return GCReport{}, err
@@ -109,8 +112,8 @@ func (e *Engine) liveBlobHashes() (map[string]bool, error) {
 	e.mu.RUnlock()
 	for _, j := range jobs {
 		j.mu.Lock()
-		if j.resultRec != nil && j.resultRec.TableHash != "" {
-			live[j.resultRec.TableHash] = true
+		if j.term != nil && j.term.Result != nil && j.term.Result.TableHash != "" {
+			live[j.term.Result.TableHash] = true
 		}
 		j.mu.Unlock()
 	}

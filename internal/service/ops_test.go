@@ -2,11 +2,13 @@ package service_test
 
 // Ops-plane tests: admission control (per-tenant and global pending bounds,
 // typed overload errors, cache-hit bypass), terminal event-buffer truncation
-// with cursor-safe stream replay, and recovery-resubmit error surfacing.
+// with cursor-safe stream replay, recovery-resubmit error surfacing, and
+// the commit-before-publish order of a job's terminal state.
 
 import (
 	"context"
 	"errors"
+	"sync"
 	"testing"
 	"time"
 
@@ -223,5 +225,111 @@ func TestRecoveryResubmitFailureSurfaced(t *testing.T) {
 	}
 	if st.State != service.StateFailed {
 		t.Fatalf("unresubmittable job state %s, want failed", st.State)
+	}
+}
+
+// syncGate wraps a job log and parks the first SyncWAL until release is
+// closed, recording the seq of the last terminal status record appended.
+type syncGate struct {
+	service.JobBackend
+	entered, release chan struct{}
+	once             sync.Once
+	mu               sync.Mutex
+	statusSeq        uint64
+}
+
+func newSyncGate(log service.JobBackend) *syncGate {
+	return &syncGate{JobBackend: log, entered: make(chan struct{}), release: make(chan struct{})}
+}
+
+func (g *syncGate) AppendWAL(rec *service.WALRecord) error {
+	if rec.Kind == service.WALStatus {
+		g.mu.Lock()
+		g.statusSeq = rec.Seq
+		g.mu.Unlock()
+	}
+	return g.JobBackend.AppendWAL(rec)
+}
+
+func (g *syncGate) SyncWAL() error {
+	g.once.Do(func() {
+		close(g.entered)
+		<-g.release
+	})
+	return g.JobBackend.SyncWAL()
+}
+
+// TestTerminalStateInvisibleUntilSynced: while a finished job's terminal
+// record is appended but its sync has not returned, nothing reports the job
+// terminal — not Job, not Wait, not the event stream. Once the sync
+// returns, Wait reports done and the status event carries the appended
+// record's seq.
+func TestTerminalStateInvisibleUntilSynced(t *testing.T) {
+	gate := newSyncGate(service.NewMemJobBackend())
+	e, p, q, _ := testFixture(t, service.Options{Workers: 1, SweepWorkers: 1, JobLog: gate})
+	e.Start()
+	st, err := e.Submit(service.DefaultTenant, sweepSpec(p, q))
+	if err != nil {
+		t.Fatal(err)
+	}
+	select {
+	case <-gate.entered:
+	case <-time.After(60 * time.Second):
+		t.Fatal("job never synced its terminal record")
+	}
+	released := false
+	release := func() {
+		if !released {
+			released = true
+			close(gate.release)
+		}
+	}
+	defer release()
+
+	if got, err := e.Job(service.DefaultTenant, st.ID); err != nil || got.State.Terminal() {
+		t.Fatalf("Job reported %s (%v) before the terminal record was synced", got.State, err)
+	}
+	ctx, cancel := context.WithTimeout(context.Background(), 50*time.Millisecond)
+	_, err = e.Wait(ctx, service.DefaultTenant, st.ID)
+	cancel()
+	if !errors.Is(err, context.DeadlineExceeded) {
+		t.Fatalf("Wait before the sync returned %v, want a timeout", err)
+	}
+	sctx, scancel := context.WithTimeout(context.Background(), 60*time.Second)
+	defer scancel()
+	events, err := e.Stream(sctx, service.DefaultTenant, st.ID)
+	if err != nil {
+		t.Fatal(err)
+	}
+	quiet := time.After(50 * time.Millisecond)
+	for waiting := true; waiting; {
+		select {
+		case ev := <-events:
+			if ev.Type == service.EventStatus {
+				t.Fatalf("status event (%s) delivered before the terminal record was synced", ev.Status.State)
+			}
+		case <-quiet:
+			waiting = false
+		}
+	}
+
+	release()
+	if got := waitDone(t, e, st.ID); got.State != service.StateDone {
+		t.Fatalf("job ended %s, want done", got.State)
+	}
+	gate.mu.Lock()
+	want := gate.statusSeq
+	gate.mu.Unlock()
+	var status *service.Event
+	for ev := range events {
+		if ev.Type == service.EventStatus {
+			status = &ev
+		}
+	}
+	if status == nil || status.Status.State != service.StateDone {
+		t.Fatalf("stream closed with status event %+v, want a done status", status)
+	}
+	if want == 0 || status.Seq != want {
+		t.Fatalf("status event seq %d, want the appended terminal record's seq %d", status.Seq, want)
 	}
 }

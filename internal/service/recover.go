@@ -162,14 +162,14 @@ func (j *job) replay(rec WALRecord) {
 		if rec.Status == nil || !rec.Status.State.Terminal() {
 			return
 		}
-		tenant := j.status.Tenant
-		j.status = *rec.Status
-		if j.status.Tenant == "" {
+		st := *rec.Status
+		if st.Tenant == "" {
 			// Terminal records written before multi-tenancy: the migrated
 			// tenant from the job record carries over.
-			j.status.Tenant = tenant
+			st.Tenant = j.status.Tenant
 		}
-		j.termSeq, j.resultRec = rec.Seq, rec.Result
+		j.status, rec.Status = st, &st
+		j.term = &rec
 	case WALCancel:
 		j.cancelRequested, j.cancelSeq = true, rec.Seq
 	}
@@ -187,7 +187,6 @@ func (j *job) cancelReplayed() {
 		ID: j.status.ID, Tenant: j.status.Tenant, Type: j.status.Type, State: StateCanceled,
 		Error: "canceled", Created: j.status.Created, Finished: &now,
 	}
-	j.termSeq = j.cancelSeq
 	kept := j.events[:0]
 	for _, ev := range j.events {
 		if ev.Seq < j.cancelSeq {
@@ -198,6 +197,8 @@ func (j *job) cancelReplayed() {
 		}
 	}
 	j.events = kept
+	st := j.status
+	j.term = &WALRecord{Seq: j.cancelSeq, Kind: WALStatus, JobID: st.ID, Status: &st}
 }
 
 // recoveredBlobs memoizes result-blob loads for one Recover call, keyed by
@@ -227,6 +228,7 @@ func (b recoveredBlobs) load(store *Store, hash string) (*dataset.Table, error) 
 // result-less job rather than failing recovery, and is recorded in
 // EngineStats.RecoveryErrors.
 func (e *Engine) restoreTerminal(j *job, blobs recoveredBlobs) {
+	j.claimed = true
 	close(j.done)
 	if n := len(j.status.Levels) - len(j.events); n > 0 && len(j.events) > 0 {
 		// The log carried only a truncated tail of the level series (it was
@@ -238,19 +240,8 @@ func (e *Engine) restoreTerminal(j *job, blobs recoveredBlobs) {
 	} else {
 		j.droppedSeq = 0
 	}
-	if rr := j.resultRec; j.status.State == StateDone && rr != nil {
-		res := &Result{
-			Levels:     rr.Levels,
-			OptimalK:   rr.OptimalK,
-			Hmax:       rr.Hmax,
-			Tp:         rr.Tp,
-			Tu:         rr.Tu,
-			Evaluated:  rr.Evaluated,
-			Partial:    rr.Partial,
-			Before:     rr.Before,
-			After:      rr.After,
-			Assessment: rr.Assessment,
-		}
+	if rr := j.term.Result; j.status.State == StateDone && rr != nil {
+		res := rr.result()
 		if h := rr.TableHash; h != "" {
 			t, err := blobs.load(e.store, h)
 			if err != nil {
@@ -263,7 +254,9 @@ func (e *Engine) restoreTerminal(j *job, blobs recoveredBlobs) {
 		e.reseedCache(j, res)
 	}
 	// Recovered terminal jobs obey the same replay-buffer bound as live ones.
-	e.truncateEvents(j)
+	j.mu.Lock()
+	j.truncateEventsLocked(e.opts.MaxJobEvents)
+	j.mu.Unlock()
 	e.mu.Lock()
 	e.jobs[j.status.ID] = j
 	e.finished = append(e.finished, j)
@@ -303,14 +296,14 @@ func (e *Engine) restoreInterrupted(j *job) {
 
 // resubmit resolves a rebuilt interrupted job's tables and enqueues it. A
 // job whose inputs cannot be resolved (table deleted before the crash, or
-// queue overflow) finalizes as failed instead of blocking recovery, and the
+// queue overflow) terminates as failed instead of blocking recovery, and the
 // failure is recorded for healthz (readiness alone would hide it: the pool
 // comes up fine, the job just failed instantly).
 func (e *Engine) resubmit(j *job) {
 	p, aux, key, levelKey, err := e.resolveInputs(j.status.Tenant, j.spec)
 	if err != nil {
 		e.noteRecoveryError(j.status.ID, err)
-		e.finalize(j, nil, fmt.Errorf("resume: %w", err))
+		e.terminate(j, nil, fmt.Errorf("resume: %w", err))
 		return
 	}
 	j.p, j.aux, j.key, j.levelKey = p, aux, key, levelKey
@@ -322,7 +315,7 @@ func (e *Engine) resubmit(j *job) {
 	default:
 		e.mu.Unlock()
 		e.noteRecoveryError(j.status.ID, ErrQueueFull)
-		e.finalize(j, nil, fmt.Errorf("resume: %w", ErrQueueFull))
+		e.terminate(j, nil, fmt.Errorf("resume: %w", ErrQueueFull))
 	}
 }
 

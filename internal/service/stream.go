@@ -117,7 +117,7 @@ func (e *Engine) StreamAfter(ctx context.Context, tenant, id string, after uint6
 			w := j.eventWindow(i)
 			if i < w.base {
 				// Events this subscriber has not consumed were truncated away
-				// (terminal jobs only — see truncateEvents). If everything
+				// (terminal jobs only — see truncateEventsLocked). If everything
 				// unseen is still in the retained tail, skip ahead and let the
 				// cursor filter below do its usual work; otherwise synthesize
 				// the level series from the result — the same replay the
@@ -137,7 +137,7 @@ func (e *Engine) StreamAfter(ctx context.Context, tenant, id string, after uint6
 				continue
 			}
 			evs := w.evs
-			if w.terminal && i == 0 && len(evs) == 0 {
+			if w.final != nil && i == 0 && len(evs) == 0 {
 				// Terminal with nothing recorded (a cache hit, or a job that
 				// finished before event recording existed): synthesize the
 				// level series from the result so the stream stays useful.
@@ -158,12 +158,8 @@ func (e *Engine) StreamAfter(ctx context.Context, tenant, id string, after uint6
 					return
 				}
 			}
-			if w.terminal {
-				st := j.snapshot()
-				j.mu.Lock()
-				seq := j.termSeq
-				j.mu.Unlock()
-				send(Event{Type: EventStatus, Seq: seq, Job: st.ID, Progress: st.Progress, Status: &st})
+			if w.final != nil {
+				send(*w.final)
 				return
 			}
 			select {
@@ -178,13 +174,14 @@ func (e *Engine) StreamAfter(ctx context.Context, tenant, id string, after uint6
 
 // eventWindow is one consistent snapshot of a job's event log as seen from
 // absolute index i: the retained events at i and beyond, the absolute index
-// range the in-memory log covers, and the truncation high-water mark.
+// range the in-memory log covers, the truncation high-water mark, and the
+// closing status event once the job is terminal.
 type eventWindow struct {
 	evs        []Event // retained events from index max(i, base)
 	base       int     // absolute index of the first retained event
 	total      int     // absolute index just past the last recorded event
 	droppedSeq uint64  // highest seq among truncated events (0 if none)
-	terminal   bool
+	final      *Event  // the status event; nil while the job is not terminal
 	notify     <-chan struct{}
 }
 
@@ -198,8 +195,10 @@ func (j *job) eventWindow(i int) eventWindow {
 		base:       j.eventsBase,
 		total:      j.eventsBase + len(j.events),
 		droppedSeq: j.droppedSeq,
-		terminal:   j.status.State.Terminal(),
 		notify:     j.notify,
+	}
+	if st := j.status; st.State.Terminal() {
+		w.final = &Event{Type: EventStatus, Seq: j.term.Seq, Job: st.ID, Progress: st.Progress, Status: &st}
 	}
 	if i >= j.eventsBase {
 		w.evs = j.events[i-j.eventsBase:]
@@ -207,23 +206,15 @@ func (j *job) eventWindow(i int) eventWindow {
 	return w
 }
 
-// truncateEvents drops a terminal job's event-log prefix beyond the
-// Options.MaxJobEvents retention bound. It runs only after the terminal WAL
-// record (and result blob, on durable stores) landed, so nothing is lost:
-// subscribers behind the truncation point fall back to the synthesized
-// result replay, which the cache-hit path already exercises.
-func (e *Engine) truncateEvents(j *job) {
-	keep := e.opts.MaxJobEvents
-	if keep < 0 {
-		return
-	}
-	j.mu.Lock()
-	defer j.mu.Unlock()
-	if !j.status.State.Terminal() {
-		return
-	}
+// truncateEventsLocked drops a terminal job's event-log prefix beyond the
+// keep bound (Options.MaxJobEvents; negative keeps everything). It runs only
+// once the terminal record (and result blob, on durable stores) is
+// committed, so nothing is lost: subscribers behind the truncation point
+// fall back to the synthesized result replay, which the cache-hit path
+// already exercises. Callers hold j.mu.
+func (j *job) truncateEventsLocked(keep int) {
 	drop := len(j.events) - keep
-	if drop <= 0 {
+	if keep < 0 || drop <= 0 {
 		return
 	}
 	for _, ev := range j.events[:drop] {
@@ -235,9 +226,6 @@ func (e *Engine) truncateEvents(j *job) {
 	copy(tail, j.events[drop:])
 	j.events = tail
 	j.eventsBase += drop
-	// Wake parked subscribers so stragglers switch to the synthesized replay
-	// immediately instead of at the next broadcast.
-	j.broadcastLocked()
 }
 
 // replayEvents synthesizes level events from a terminal job's result — or,
@@ -274,10 +262,9 @@ func (j *job) replayEvents() []Event {
 // appended first (durability before visibility — a level a subscriber has
 // seen is a level recovery can replay), then the level is stored on the
 // running job, progress advances, and the event is published to
-// subscribers. It is a no-op once the job is terminal (a cancel can race
-// the last in-flight level; the stray WAL checkpoint lands after the
-// terminal record and recovery discards it, so the rebuilt event feed
-// always agrees with Status.Levels).
+// subscribers. It is a no-op once the job is claimed for termination,
+// which no level should reach: the sweep records its levels before run
+// returns, and only then does the worker claim the job.
 func (e *Engine) recordLevel(j *job, ls LevelSummary, cal *Calibration, progress float64, source string) {
 	lev := ls
 	seq, err := e.appendWAL(&WALRecord{
@@ -298,7 +285,7 @@ func (e *Engine) recordLevel(j *job, ls LevelSummary, cal *Calibration, progress
 	}
 	j.mu.Lock()
 	defer j.mu.Unlock()
-	if j.status.State.Terminal() {
+	if j.claimed {
 		return
 	}
 	j.status.Levels = append(j.status.Levels, ls)
@@ -323,7 +310,7 @@ func (e *Engine) recordLevel(j *job, ls LevelSummary, cal *Calibration, progress
 func (e *Engine) recordSkip(j *job, sk Skip) {
 	j.mu.Lock()
 	defer j.mu.Unlock()
-	if j.status.State.Terminal() {
+	if j.claimed {
 		return
 	}
 	j.events = append(j.events, Event{
